@@ -298,8 +298,8 @@ RunReport execute(const RunRequest& request) {
   std::optional<sim::Simulator> simulator;
   if (request.engine == EngineSel::kCycle || request.engine == EngineSel::kBoth) {
     // Observers see every individual cycle (on_cycle fires per step), so the
-    // stall fast-forward -- invisible in the final report but not to a
-    // per-cycle callback -- must not skip any.
+    // activity-gated tick -- invisible in the final report but not to a
+    // per-cycle callback -- must not skip any unit or cycle.
     sim::SimConfig sim_cfg = request.config;
     if (!request.observers.empty()) sim_cfg.fast_forward = false;
     try {

@@ -24,6 +24,9 @@ using SWord = i32;
 using FReg = u64;
 /// Simulation time in core clock cycles.
 using Cycle = u64;
+/// "No event pending": the next_event() answer of a component whose state
+/// cannot change on its own (see the activity contract in sim/cluster.hpp).
+inline constexpr Cycle kNever = ~Cycle{0};
 /// Byte address in the modeled address space.
 using Addr = u32;
 

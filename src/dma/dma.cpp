@@ -203,39 +203,42 @@ void Engine::tick_channel(Channel& ch, Cycle now, Tcdm& tcdm) {
     }
     if (drop_beats_ > 0) {
       --drop_beats_;  // fault injection: this beat's bytes never land
-    } else {
+    } else if (src < dst && dst < src + beat) {
+      // Forward byte order matters when the destination overlaps the
+      // source's tail (it re-reads bytes this beat already wrote).
       for (u32 i = 0; i < beat; ++i) {
         mem_.store(dst + i, mem_.load(src + i, 1), 1);
       }
+    } else {
+      mem_.store(dst, mem_.load(src, beat), beat);
     }
     budget -= beat;
     if (advance_beat(ch, now, beat)) return;
   }
 }
 
-u32 Engine::startup_horizon() const {
-  u32 horizon = 0xFFFF'FFFF;
-  bool any = false;
+Cycle Engine::next_event(Cycle now) const {
+  Cycle burn = kNever;
   for (const Channel& ch : ch_) {
     if (ch.queue.empty()) continue;
-    any = true;
     // A channel that has not begun its head transfer, or whose head is past
     // startup, can move bytes (and arbitrate banks) on the very next tick.
-    if (!ch.active.started || ch.active.startup_left == 0) return 0;
-    horizon = std::min(horizon, ch.active.startup_left);
+    if (!ch.active.started || ch.active.startup_left == 0) return now + 1;
+    burn = std::min<Cycle>(burn, ch.active.startup_left);
   }
-  return any ? horizon : 0;
+  return burn == kNever ? kNever : now + burn + 1;
 }
 
-void Engine::skip_startup(u32 cycles) {
-  if (cycles == 0) return;
-  stats_.busy_cycles += cycles;  // at least one channel active per tick
+u64 Engine::skip(u64 n) {
+  if (idle()) return n;
+  stats_.busy_cycles += n;  // at least one channel active per tick
   for (Channel& ch : ch_) {
     if (ch.queue.empty()) continue;
-    assert(ch.active.started && ch.active.startup_left >= cycles);
-    ch.active.startup_left -= cycles;
-    stats_.startup_cycles += cycles;  // one per channel per skipped tick
+    assert(ch.active.started && ch.active.startup_left >= n);
+    ch.active.startup_left -= static_cast<u32>(n);
+    stats_.startup_cycles += n;  // one per channel per skipped tick
   }
+  return 0;
 }
 
 void Engine::tick(Cycle now, Tcdm& tcdm) {
@@ -244,9 +247,10 @@ void Engine::tick(Cycle now, Tcdm& tcdm) {
   // Rotate the channel service order so no hart's transfers are statically
   // favored at the banks.
   const u32 n = static_cast<u32>(ch_.size());
-  const u32 start = static_cast<u32>(now % n);
+  u32 c = static_cast<u32>(now % n);
   for (u32 k = 0; k < n; ++k) {
-    tick_channel(ch_[(start + k) % n], now, tcdm);
+    tick_channel(ch_[c], now, tcdm);
+    if (++c == n) c = 0;
   }
 }
 

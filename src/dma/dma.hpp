@@ -167,21 +167,21 @@ class Engine {
   /// rotating order. Call once per cluster cycle.
   void tick(Cycle now, Tcdm& tcdm);
 
-  /// Cycles of provably inert work ahead: when EVERY non-empty channel's
-  /// head transfer is in its main-memory startup burn (started, with
-  /// startup_left > 0), ticking the engine only decrements counters and
-  /// bumps stats for the next `horizon` cycles -- no memory traffic, no
-  /// bank arbitration, no completion. Returns that minimum burn length, or
-  /// 0 when any channel could do real work on the next tick (not started
-  /// yet, past startup, or the engine is idle). The cluster's stall
-  /// fast-forward uses this as its event horizon.
-  [[nodiscard]] u32 startup_horizon() const;
+  // --- activity contract (see sim/cluster.hpp) -----------------------------
+  /// Earliest cycle after `now` whose tick can do more than count: kNever
+  /// when idle; when EVERY non-empty channel's head transfer is in its
+  /// main-memory startup burn (started, startup_left > 0), the tick after
+  /// the shortest burn ends (the ticks before it only decrement startup
+  /// counters and bump stats -- no memory traffic, no bank arbitration, no
+  /// completion); otherwise now + 1.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
 
-  /// Apply `cycles` ticks' worth of pure startup burn in closed form:
-  /// every non-empty channel's startup_left drops by `cycles`, with the
-  /// exact per-tick stats (busy_cycles, startup_cycles) the skipped ticks
-  /// would have recorded. Caller guarantees cycles <= startup_horizon().
-  void skip_startup(u32 cycles);
+  /// Apply `n` ticks in closed form; legal only while those ticks are
+  /// inert (n < next_event(now) - now). Burning channels drop startup_left
+  /// by `n` with the exact per-tick stats (busy_cycles, startup_cycles).
+  /// Returns the trailing skipped ticks without progress for the cluster
+  /// watchdog: 0 when burning (startup_cycles grows every tick), n when idle.
+  u64 skip(u64 n);
 
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   /// Completed-transfer log, oldest first (bounded at cfg.max_records;

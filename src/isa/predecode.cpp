@@ -112,6 +112,15 @@ void link_superblocks(std::vector<PredecodedInstr>& pre) {
         break;
     }
   }
+
+  // DMA poll sites need the branch's target_idx, resolved above.
+  for (usize i = 0; i + 1 < n; ++i) {
+    if (pre[i].handler == ExecHandler::kDmaStat &&
+        pre[i + 1].handler == ExecHandler::kBranch &&
+        pre[i + 1].target_idx == i) {
+      pre[i].flags |= preflag::kDmaPollSite;
+    }
+  }
 }
 
 } // namespace sch::isa

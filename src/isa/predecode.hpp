@@ -85,6 +85,10 @@ namespace preflag {
 /// means executing it must fail; the engines re-walk the body then to
 /// produce the exact offset-naming diagnostic.
 inline constexpr u8 kFrepBodyOk = 1u << 0;
+/// dmstat whose next record is a conditional branch back to it: the
+/// `dmstat rd, sel; b<cond> ..., <dmstat>` DMA poll loop. The cycle engine
+/// parks a core spinning here (sim::IntCore) until its DMA counts move.
+inline constexpr u8 kDmaPollSite = 1u << 1;
 } // namespace preflag
 
 /// Per-instruction record resolved once at load.

@@ -597,6 +597,7 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 namespace sch::serve {
@@ -633,6 +634,10 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
       if (errno == EINTR && !stop.load()) continue;
       break;  // listener shut down (or a fatal accept error)
     }
+    // Responses go out as several small line writes; with Nagle's algorithm
+    // each waits for the client's (delayed) ACK of the previous one, which
+    // costs a default client about 40 ms per multi-line response.
+    ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     sessions.emplace_back([&server, &stop, lfd, cfd] {
       FdStreamBuf ibuf(cfd, false);
       FdStreamBuf obuf(cfd, false);

@@ -18,6 +18,7 @@ Cluster::Cluster(Program program, Memory& memory, const SimConfig& config)
 Cluster::Cluster(std::vector<Program> programs, Memory& memory,
                  const SimConfig& config)
     : cfg_(config),
+      gate_(config.gating()),
       mem_(memory),
       // One requester block per core plus the cluster DMA engine's port.
       tcdm_(config.tcdm,
@@ -51,6 +52,26 @@ bool Cluster::fully_halted() const {
     if (!core->fully_halted()) return false;
   }
   return true;
+}
+
+TickCounters Cluster::tick_counters() const {
+  TickCounters sum;
+  for (const auto& core : cores_) {
+    sum.core_ticks += core->tick_counters().core_ticks;
+    sum.fp_gated += core->tick_counters().fp_gated;
+    sum.skipped += core->tick_counters().skipped;
+    sum.parked += core->tick_counters().parked;
+  }
+  sum.jumped_cycles = jumped_cycles_;
+  return sum;
+}
+
+u64 Cluster::progress() const {
+  u64 p = dma_.stats().bytes_moved + dma_.stats().startup_cycles;
+  for (const auto& core : cores_) {
+    p += core->perf().total_retired() + core->perf().offloads;
+  }
+  return p;
 }
 
 PerfCounters Cluster::perf() const {
@@ -101,24 +122,21 @@ void Cluster::tick() {
   // pre-Xdma arbitration.
   const u32 n = num_cores();
   const u32 slots = n + 1;
-  const u32 start = static_cast<u32>(cycle_ % slots);
+  u32 slot = static_cast<u32>(cycle_ % slots);
   for (u32 k = 0; k < slots; ++k) {
-    const u32 slot = (start + k) % slots;
     if (slot < n) {
       cores_[slot]->tick(cycle_);
     } else {
       dma_.tick(cycle_, tcdm_);
     }
+    if (++slot == slots) slot = 0;
   }
 
   // Progress watchdog across the whole cluster (a spinning barrier still
   // retires branches and a draining DMA still moves bytes or burns startup
   // latency, so only a true wedge trips it -- even a transfer whose
   // startup alone exceeds deadlock_cycles counts as progress).
-  u64 retired = dma_.stats().bytes_moved + dma_.stats().startup_cycles;
-  for (const auto& core : cores_) {
-    retired += core->perf().total_retired() + core->perf().offloads;
-  }
+  const u64 retired = progress();
   if (retired != last_progress_retired_) {
     last_progress_retired_ = retired;
     last_progress_cycle_ = cycle_;
@@ -158,6 +176,38 @@ void Cluster::tick() {
   }
 }
 
+void Cluster::jump() {
+  // Every core must be halted or parked: no next event of its own, so the
+  // cluster horizon is the DMA engine's (a parked core wakes only on a
+  // DMA completion, which cannot happen before it).
+  for (const auto& core : cores_) {
+    if (core->next_event(cycle_) != kNever) return;
+  }
+  const Cycle horizon = dma_.next_event(cycle_);
+  if (horizon <= cycle_ + 1) return;
+  // Skip the cycles before the horizon, but keep real the ticks that cross
+  // the cycle budget, reach the next wall-clock check, or could fire the
+  // watchdog (the first cycle past last_progress_cycle_ + deadlock_cycles).
+  Cycle end = horizon - 1;
+  end = std::min(end, cfg_.max_cycles - 1);
+  if (cfg_.max_wall_ms != 0) end = std::min(end, next_wall_check_);
+  if (cfg_.deadlock_cycles < kNever - last_progress_cycle_) {
+    end = std::min(end, last_progress_cycle_ + cfg_.deadlock_cycles);
+  }
+  if (end <= cycle_) return;
+  const u64 n = end - cycle_;
+  u64 quiet = dma_.skip(n);
+  for (const auto& core : cores_) quiet = std::min(quiet, core->skip(n));
+  cycle_ = end;
+  jumped_cycles_ += n;
+  // Re-baseline the watchdog on the last skipped cycle that made progress,
+  // exactly where the cycle-by-cycle run would have left it.
+  if (quiet < n) {
+    last_progress_retired_ = progress();
+    last_progress_cycle_ = end - quiet;
+  }
+}
+
 bool Cluster::step() {
   if (halt_ != HaltReason::kNone) return false;
   if (!started_) {
@@ -166,7 +216,8 @@ bool Cluster::step() {
     if (cfg_.max_wall_ms != 0) wall_start_ = std::chrono::steady_clock::now();
   }
   // Wall-clock budget, checked off the hot path (every 4096 cycles).
-  if (cfg_.max_wall_ms != 0 && (cycle_ & 0xFFF) == 0) {
+  if (cfg_.max_wall_ms != 0 && cycle_ >= next_wall_check_) {
+    next_wall_check_ = (cycle_ | 0xFFF) + 1;
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - wall_start_);
     if (static_cast<u64>(elapsed.count()) > cfg_.max_wall_ms) {
@@ -177,33 +228,7 @@ bool Cluster::step() {
       return false;
     }
   }
-  // Stall fast-forward: with every core drained (halted cores' ticks are
-  // strict no-ops) and every DMA channel burning provably inert startup
-  // latency, the next `horizon` ticks change nothing but counters. Jump
-  // them in closed form and run the final burn cycle through the normal
-  // tick so the epilogue below observes the exact slow-path states. Only
-  // legal when nothing can watch individual cycles: api::Engine clears
-  // fast_forward when observers are attached, and fault plans / tracing
-  // disable it here (a fault could land mid-burn; a trace records every
-  // cycle).
-  if (cfg_.fast_forward && cfg_.faults == nullptr && !cfg_.trace &&
-      fully_halted()) {
-    const u32 horizon = dma_.startup_horizon();
-    if (horizon > 1) {
-      u64 skip = horizon - 1;
-      // Keep the tick that crosses the cycle budget real as well.
-      const u64 budget_room =
-          cfg_.max_cycles > cycle_ + 1 ? cfg_.max_cycles - cycle_ - 1 : 0;
-      skip = std::min<u64>(skip, budget_room);
-      if (skip > 0) {
-        dma_.skip_startup(static_cast<u32>(skip));
-        cycle_ += skip;
-        // The watchdog re-baselines on the next tick: startup_cycles grew,
-        // so `retired` differs and last_progress_* snap to the new cycle,
-        // exactly as they would have tick by tick.
-      }
-    }
-  }
+  if (gate_) jump();
   tick();
   if (halt_ != HaltReason::kNone) return false;
   // The cluster keeps ticking a draining DMA queue after every core has

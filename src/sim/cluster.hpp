@@ -10,6 +10,23 @@
 // Cores communicate only through the shared memory (e.g. the sense-reversing
 // barrier in kernels/barrier.hpp); the cluster is fully deterministic for a
 // fixed configuration and program set.
+//
+// Activity contract. Every ticked component (Core and, inside it, IntCore,
+// FpSubsystem and its ssr::Streamers; dma::Engine) answers three calls:
+//   idle()          its next tick would change nothing but counters;
+//   next_event(now) the earliest cycle at which its state can change for
+//                   any other reason (kNever: only another unit can wake it);
+//   skip(n)         apply n idle ticks' counter effects in closed form.
+// Under SimConfig::gating() the cluster uses it twice. Per cycle, a core
+// skips its idle FP side and streamers, and an idle core -- above all one
+// parked on a DMA poll loop -- replays the cycle from counters in its own
+// rotation slot (a parked core until its hart's DMA count moves). Across
+// cycles, while every core is halted or parked the clock jumps to just
+// before the cluster horizon (the minimum next_event) and the horizon
+// cycle runs as a real tick. A jump never crosses the cycle budget,
+// the next wall-clock check or the watchdog's firing cycle, so both halt at
+// the cycle the cycle-by-cycle run would; idle units make no TCDM requests,
+// so bank arbitration is untouched.
 #pragma once
 
 #include <chrono>
@@ -44,7 +61,8 @@ class Cluster {
   /// Run to halt. Loads the program data image(s) first.
   HaltReason run();
 
-  /// Single-step one cycle (tests/traces). Returns false once halted.
+  /// Advance one cycle (tests/traces) -- under SimConfig::gating(), a clock
+  /// jump over idle cycles may come first. Returns false once halted.
   bool step();
 
   [[nodiscard]] Cycle cycles() const { return cycle_; }
@@ -70,6 +88,9 @@ class Cluster {
 
   [[nodiscard]] const Core& core_at(u32 hartid) const { return *cores_[hartid]; }
 
+  /// Host-side work counters of the activity-gated tick, summed over cores.
+  [[nodiscard]] TickCounters tick_counters() const;
+
   // --- single-core-compatible accessors (hart 0) ---
   [[nodiscard]] const IntCore& core() const { return cores_[0]->int_core(); }
   [[nodiscard]] const FpSubsystem& fp() const { return cores_[0]->fp(); }
@@ -81,17 +102,28 @@ class Cluster {
 
  private:
   void tick();
+  /// Clock jump over the cycles before the cluster horizon (see the
+  /// activity contract above); a no-op unless every core is halted or
+  /// parked.
+  void jump();
   /// Apply every fault of cfg_.faults due this cycle (see sim/fault_plan.hpp).
   void apply_faults();
   [[nodiscard]] bool fully_halted() const;
+  /// Watchdog progress measure: retirements, offloads, DMA bytes and burn.
+  [[nodiscard]] u64 progress() const;
 
   SimConfig cfg_;
+  const bool gate_;  // cfg_.gating()
   Memory& mem_;
   Tcdm tcdm_;
   dma::Engine dma_;
   std::vector<std::unique_ptr<Core>> cores_;
 
   Cycle cycle_ = 0;
+  u64 jumped_cycles_ = 0;
+  /// First cycle at which step() checks the wall-clock budget again (every
+  /// 4096 cycles, keyed on crossing the boundary so jumps cannot skip it).
+  Cycle next_wall_check_ = 0;
   u64 last_progress_retired_ = 0;
   Cycle last_progress_cycle_ = 0;
   HaltReason halt_ = HaltReason::kNone;

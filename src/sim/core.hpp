@@ -4,7 +4,8 @@
 // Cluster invokes tick() once per cycle in a rotating core order; within the
 // tick the core runs the same phase sequence the single-core Simulator
 // always ran (commit pending writes, FP tick, integer tick, SSR fetches with
-// the rotating streamer priority).
+// the rotating streamer priority). Under SimConfig::gating() the tick skips
+// idle units and replays a parked core from counters (sim/cluster.hpp).
 #pragma once
 
 #include <memory>
@@ -22,6 +23,19 @@
 
 namespace sch::sim {
 
+/// Host-side work counters of the activity-gated tick. Deterministic for a
+/// fixed configuration and program set, and deliberately kept out of
+/// api::RunReport, so fast_forward on/off reports stay bit-identical.
+/// Every active core-cycle (PerfCounters::cycles) is either a full tick or
+/// a skipped one: core_ticks + skipped == the cores' summed cycles.
+struct TickCounters {
+  u64 core_ticks = 0;     // core-cycles run through the full phase sequence
+  u64 fp_gated = 0;       // ... of which skipped the idle FP side
+  u64 skipped = 0;        // core-cycles of an idle core applied by skip()
+  u64 parked = 0;         // ... of which replayed a parked DMA poll loop
+  u64 jumped_cycles = 0;  // cluster cycles crossed by clock jumps
+};
+
 class Core {
  public:
   /// The core keeps its own copy of the program; `memory`, `tcdm`, `config`
@@ -38,6 +52,28 @@ class Core {
   /// perf().cycles stops counting, so per-core cycle counts report the
   /// core's active span under load imbalance).
   void tick(Cycle now);
+
+  // --- activity contract (see sim/cluster.hpp) ---
+  /// Fully halted, or every unit idle: the integer core (halted, bubbles or
+  /// parked), the FP side, the streamers, and no pending writeback.
+  [[nodiscard]] bool idle() const {
+    if (halted_at_ != 0) return true;
+    if (!core_->idle()) return false;
+    // A core parks only with its FP side, streamers and writebacks
+    // quiescent, and nothing but its own integer core could wake them.
+    return core_->parked() || (fp_->idle() && fp_->streams_idle() &&
+                               core_->pending_empty());
+  }
+  [[nodiscard]] Cycle next_event(Cycle now) const {
+    if (halted_at_ != 0) return kNever;
+    return idle() ? core_->next_event(now) : now + 1;
+  }
+  /// Apply `n` idle cycles in closed form; returns the trailing skipped
+  /// cycles without a retirement (n for a halted core).
+  u64 skip(u64 n);
+
+  /// This core's share of the cluster's TickCounters.
+  [[nodiscard]] const TickCounters& tick_counters() const { return ticks_; }
 
   /// Integer core halted, FP subsystem drained, no pending writebacks.
   [[nodiscard]] bool fully_halted() const {
@@ -72,7 +108,9 @@ class Core {
   Tcdm& tcdm_;
   const SimConfig& cfg_;
   const u32 hartid_;
+  const bool gate_;  // SimConfig::gating()
   PerfCounters perf_;
+  TickCounters ticks_;
   std::unique_ptr<FpSubsystem> fp_;
   std::unique_ptr<IntCore> core_;
   u32 ssr_rr_ = 0; // round-robin rotation of this core's SSR port order

@@ -70,6 +70,25 @@ class FpSubsystem {
   /// Everything drained: queue, latch, pipeline, div unit, LSU, write streams.
   [[nodiscard]] bool quiescent() const;
 
+  // --- activity contract (see sim/cluster.hpp) ---
+  /// The issue/execute side's tick() would only count fp_queue_empty:
+  /// nothing queued or replaying, latch/pipeline/div/LSU empty, no error.
+  /// Only an offload from the integer core can end this state.
+  [[nodiscard]] bool idle() const {
+    return seq_.idle() && !latch_.has_value() && pipe_.empty() &&
+           !div_.busy && !lsu_.busy && error_.empty();
+  }
+  /// Every SSR streamer idle (its fetch is a no-op until re-armed).
+  [[nodiscard]] bool streams_idle() const {
+    for (const ssr::Streamer& s : streamers_) {
+      if (!s.idle()) return false;
+    }
+    return true;
+  }
+  /// Counter effects of `n` idle ticks (begin_cycle() included: its flag
+  /// resets are redone by the next live cycle's begin_cycle()).
+  void skip(u64 n) { perf_.fp_queue_empty += n; }
+
   void set_ssr_enable(bool enable) { ssr_enabled_ = enable; }
   [[nodiscard]] bool ssr_enabled() const { return ssr_enabled_; }
   void set_chain_mask(u32 mask);

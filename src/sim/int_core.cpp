@@ -1,5 +1,6 @@
 #include "sim/int_core.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -18,7 +19,7 @@ IntCore::IntCore(const Program& prog, Memory& mem, Tcdm& tcdm,
                  const SimConfig& cfg, PerfCounters& perf, FpSubsystem& fp,
                  u32 hartid, dma::Engine* dma)
     : prog_(prog), mem_(mem), tcdm_(tcdm), cfg_(cfg), perf_(perf), fp_(fp),
-      dma_(dma), trace_(cfg.trace), hartid_(hartid),
+      dma_(dma), trace_(cfg.trace), gate_(cfg.gating()), hartid_(hartid),
       lsu_req_(Tcdm::requester_id(hartid, TcdmPortId::kCoreLsu)),
       pc_(prog.text_base) {}
 
@@ -616,14 +617,72 @@ void IntCore::h_dma_stat(const Instr& in, const PredecodedInstr& pre, Cycle,
     fail("dmstat without a cluster DMA engine");
     return;
   }
-  const u32 sel = static_cast<u32>(pre.aux);
-  write_x(in.rd, sel == 0 ? dma_->completed(hartid_)
-                          : dma_->outstanding(hartid_));
+  const bool outstanding = pre.aux != 0;
+  const u32 value = dma_stat(outstanding);
+  write_x(in.rd, value);
   ++perf_.rf_int_writes;
   ++perf_.csr_ops;
   ++perf_.int_instrs;
   note_issue(in);
   pc_ += 4;
+  if (gate_ && (pre.flags & isa::preflag::kDmaPollSite) != 0) {
+    try_park(pc_ - 4, outstanding, value);
+  }
+}
+
+void IntCore::try_park(Addr site, bool outstanding, u32 value) {
+  // While parked the loop only rewrites rd with `value`, so its branch keeps
+  // its outcome; no writeback may land and the FP side must stay inert
+  // (it runs no tick while parked), so an unfinished FP op or stream, or a
+  // pending register write, keeps the core on the normal path.
+  if (pending_size_ != 0 || !fp_.idle() || !fp_.streams_idle()) return;
+  const Instr& br = prog_.instrs[prog_.text_index(site + 4)];
+  if (!ready_x(br.rs1) || !ready_x(br.rs2)) return;
+  if (!exec::branch_taken(br.mn, read_x(br.rs1), read_x(br.rs2))) return;
+  parked_ = true;
+  poll_outstanding_ = outstanding;
+  poll_value_ = value;
+  poll_pc_ = site;
+}
+
+Cycle IntCore::next_event(Cycle now) const {
+  if (halt_ != HaltReason::kNone) return kNever;
+  if (parked_ && poll_read() == poll_value_) return kNever;
+  return now + bubbles_ + 1;
+}
+
+u64 IntCore::skip(u64 n) {
+  if (halt_ != HaltReason::kNone) return n;
+  if (n <= bubbles_) {
+    bubbles_ -= static_cast<u32>(n);
+    perf_.branch_bubbles += n;
+    return n;
+  }
+  assert(parked_);
+  // The parked loop is periodic: phase 0 issues the dmstat, phase 1 the
+  // taken branch, phases 2 .. period-1 are its bubbles.
+  const u64 pen = cfg_.taken_branch_penalty;
+  const u64 period = pen + 2;
+  const u64 phase =
+      bubbles_ > 0 ? 2 + (pen - bubbles_) : (pc_ == poll_pc_ ? 0 : 1);
+  const auto count = [&](u64 k) -> u64 {  // skipped ticks in phase k
+    const u64 first = (k + period - phase) % period;
+    return first < n ? (n - 1 - first) / period + 1 : 0;
+  };
+  const u64 dmstats = count(0);
+  const u64 branches = count(1);
+  perf_.rf_int_writes += dmstats;
+  perf_.csr_ops += dmstats;
+  perf_.rf_int_reads += 2 * branches;
+  perf_.branches += branches;
+  perf_.int_instrs += dmstats + branches;
+  perf_.branch_bubbles += n - dmstats - branches;
+
+  const u64 next = (phase + n) % period;
+  pc_ = next == 1 ? poll_pc_ + 4 : poll_pc_;
+  bubbles_ = next >= 2 ? static_cast<u32>(pen - (next - 2)) : 0;
+  const u64 last = (phase + n - 1) % period;
+  return last <= 1 ? 0 : std::min(n, last - 1);
 }
 
 const IntCore::Handler

@@ -51,6 +51,32 @@ class IntCore {
   [[nodiscard]] bool has_error() const { return !error_.empty(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
+  // --- activity contract (see sim/cluster.hpp) ---
+  /// The next tick would only count: halted, in taken-branch bubbles, or
+  /// parked on a DMA poll loop whose DMA count has not moved since.
+  [[nodiscard]] bool idle() const {
+    if (halt_ != HaltReason::kNone) return true;
+    if (parked_ && poll_read() == poll_value_) return true;
+    return bubbles_ > 0;
+  }
+  /// kNever when halted or parked (a parked core wakes only when its DMA
+  /// count moves, which the DMA engine's own next_event() bounds); the
+  /// first issue cycle after the bubbles; otherwise now + 1.
+  [[nodiscard]] Cycle next_event(Cycle now) const;
+  /// Apply `n` idle ticks in closed form: n must stay inside the idle
+  /// window (within the bubbles unless parked). A parked core replays whole
+  /// poll-loop periods -- dmstat, branch, taken_branch_penalty bubbles --
+  /// from counters. Returns the trailing skipped ticks without a retirement
+  /// (the watchdog's view).
+  u64 skip(u64 n);
+
+  /// Spinning on a predecoded DMA poll site with a quiescent FP side
+  /// (entered by the dmstat itself; only under SimConfig::gating()).
+  [[nodiscard]] bool parked() const { return parked_; }
+  /// Leave the parked state: the loop's registers, pc and bubbles are kept
+  /// exact while parked, so the normal tick resumes where the replay stood.
+  void unpark() { parked_ = false; }
+
   [[nodiscard]] const std::array<u32, isa::kNumIntRegs>& regs() const { return x_; }
   [[nodiscard]] Addr pc() const { return pc_; }
   /// Disassembly of this cycle's integer-core action (trace support; only
@@ -111,6 +137,15 @@ class IntCore {
   void h_dma_cpy2d(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
   void h_dma_stat(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
 
+  /// The value `dmstat rd, sel` reads now for this hart.
+  [[nodiscard]] u32 dma_stat(bool outstanding) const {
+    return outstanding ? dma_->outstanding(hartid_) : dma_->completed(hartid_);
+  }
+  [[nodiscard]] u32 poll_read() const { return dma_stat(poll_outstanding_); }
+  /// After the dmstat at poll site `site` retired: park when the loop
+  /// branch will be taken and nothing but the DMA engine can end the spin.
+  void try_park(Addr site, bool outstanding, u32 value);
+
   /// Shared tail of dmcpy/dmcpy2d once operands are read: validate, check
   /// queue space, issue, and write the transfer id into rd.
   void dma_issue(const isa::Instr& in, Cycle now, u32 row_bytes, u32 rows);
@@ -127,6 +162,7 @@ class IntCore {
   FpSubsystem& fp_;
   dma::Engine* dma_;
   const bool trace_;
+  const bool gate_;  // SimConfig::gating(): parking allowed
   const u32 hartid_;
   const u32 lsu_req_; // this core's LSU requester id in the shared TCDM
 
@@ -139,6 +175,11 @@ class IntCore {
   u32 pending_size_ = 0;
   u32 bubbles_ = 0;
   Cycle div_busy_until_ = 0;
+  // Parked DMA poll loop: dmstat at poll_pc_, its branch at poll_pc_ + 4.
+  bool parked_ = false;
+  bool poll_outstanding_ = false;  // dmstat sel != 0
+  u32 poll_value_ = 0;             // the DMA count the spin keeps reading
+  Addr poll_pc_ = 0;
   HaltReason halt_ = HaltReason::kNone;
   std::string error_;
   std::string last_issue_;

@@ -74,14 +74,16 @@ struct SimConfig {
   /// sim/fault_plan.hpp). Null = no faults; the ISS never applies them.
   std::shared_ptr<const FaultPlan> faults;
 
-  /// Host-speed fast path: when every core has halted and the DMA engine is
-  /// burning provably inert startup cycles, jump the cycle counter by the
-  /// closed-form burn length instead of ticking through it. Timing-invisible
-  /// by construction (the skipped cycles change no observable state) and
-  /// automatically disabled whenever anything could watch individual cycles:
-  /// api::Engine clears it when observers are attached, and Cluster ignores
-  /// it under a fault plan or tracing. The fast-path-equivalence suite pins
-  /// off-vs-on reports bit-identical.
+  /// Host-speed fast path: the activity-gated tick (see sim/cluster.hpp).
+  /// Idle FP sides and SSR streamers are not ticked, a core spinning on a
+  /// DMA poll loop is parked and replayed from counters, and the clock
+  /// jumps in closed form while every core is halted or parked and the DMA
+  /// engine is idle or burning startup latency. Timing-invisible by
+  /// construction (skipped work changes no observable state) and disabled
+  /// whenever anything could watch individual cycles: api::Engine clears it
+  /// when observers are attached, and gating() is false under a fault plan
+  /// or tracing. The fast-path-equivalence suite pins off-vs-on reports
+  /// bit-identical.
   bool fast_forward = true;
 
   /// Forwarded into IssConfig::fast_dispatch by api::Engine: the functional
@@ -94,6 +96,12 @@ struct SimConfig {
   /// (api::TraceObserver, Fig. 1c/Fig. 2 views) consume. Costs string
   /// building on the hot path; enable for short runs only.
   bool trace = false;
+
+  /// fast_forward in effect: no fault plan can land mid-skip and no trace
+  /// records the skipped cycles.
+  [[nodiscard]] bool gating() const {
+    return fast_forward && faults == nullptr && !trace;
+  }
 
   /// Structural sanity check. A zero depth on any of the queues below does
   /// not fail loudly at runtime -- it deadlocks the scoreboard or indexes an

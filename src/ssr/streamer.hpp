@@ -38,6 +38,9 @@ class Streamer {
   [[nodiscard]] bool armed() const { return dir_ != StreamDir::kNone; }
 
   /// All elements fetched and consumed (read) or drained to memory (write).
+  /// An idle streamer's tick_fetch() is a strict no-op -- not even a
+  /// counter moves -- and it stays idle until it is re-armed or (write
+  /// stream) pushed to, so the cycle engine skips its fetch outright.
   [[nodiscard]] bool idle() const;
 
   // --- consumer interface (FP issue / writeback stages) ---

@@ -206,6 +206,35 @@ TEST(DmaCycle, TcdmToTcdmSameBankCopyCompletes) {
             (std::vector<double>{1.5, 2.5, 3.5, 4.5}));
 }
 
+TEST(DmaCycle, OverlappingCopyKeepsForwardByteOrder) {
+  // A copy whose destination overlaps its source's tail re-reads bytes it
+  // has already written (forward byte order, as the ISS's instant copy);
+  // one overlapping the head never does. Both must leave memory byte-for-
+  // byte equal to the ISS's, including the odd-length last beat.
+  for (const i32 shift : {3, -3}) {
+    SCOPED_TRACE(shift);
+    ProgramBuilder b(memmap::kTextBase, memmap::kMainBase);
+    const Addr buf = b.data_f64({1.5, -2.25, 3.0, 4.75, 5.5, -6.125});
+    const Addr src = buf + 16;  // room on both sides
+    b.la(isa::kT0, src);
+    b.dmsrc(isa::kT0);
+    b.la(isa::kT0, static_cast<Addr>(static_cast<i32>(src) + shift));
+    b.dmdst(isa::kT0);
+    b.li(isa::kT1, 19);
+    b.dmcpy(isa::kA1, isa::kT1);
+    b.label("drain");
+    b.dmstat(isa::kT2, 1);
+    b.bnez(isa::kT2, "drain");
+    b.ecall();
+    api::RunRequest req = api::RunRequest::for_program(b.build(), "overlap",
+                                                       api::EngineSel::kBoth);
+    req.lockstep_compare_memory = true;
+    const api::RunReport r = api::run(req);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.lockstep_mismatches, 0u);
+  }
+}
+
 // --- TCDM arbitration with the DMA requester ---------------------------------
 
 TEST(DmaTcdm, DmaRequesterContendsWithoutCorruptingAccounting) {

@@ -1,26 +1,40 @@
 // Fast-path equivalence suite: every host-speed optimization in the two
 // engines -- the ISS's threaded superblock dispatch (fast_dispatch), the
-// TCDM bank-mask arbiter (tcdm.fast_arb) and the cluster's halted-cores
-// DMA-startup fast-forward (fast_forward) -- must be TIMING-INVISIBLE.
-// Each toggle is forced off individually against the all-on default and
-// the resulting RunReports must be bit-identical: cycles, the full
-// PerfCounters block (aggregate and per core), TCDM contention stats,
-// DMA stats, energy, ISS instruction counts and lockstep verdicts.
+// TCDM bank-mask arbiter (tcdm.fast_arb) and the cluster's activity-gated
+// tick (fast_forward: idle FP/SSR units skipped, DMA-polling cores parked
+// and replayed from counters, clock jumps while every core is halted or
+// parked) -- must be TIMING-INVISIBLE. Each toggle is forced off
+// individually against the all-on default and the resulting RunReports
+// must be bit-identical: cycles, the full PerfCounters block (aggregate and
+// per core), TCDM contention stats, DMA stats, energy, ISS instruction
+// counts, lockstep verdicts and failure classification.
 //
-// Two workload sources:
+// Three workload sources:
 //  * a registry-kernel sample covering chaining, FREP, indirect streams,
-//    DMA double buffering (which exercises fast-forward) and a 4-core
-//    cluster (which exercises the bank-mask arbiter under contention);
+//    DMA double buffering (parking and clock jumps, including the exact
+//    dma_stream benchmark shapes) and 2- and 4-core clusters (the bank-mask
+//    arbiter under contention);
+//  * hand-written poll-forever clusters, whose every core parks on a
+//    transfer that is never issued: they must hit the cycle budget -- or,
+//    with branch bubbles longer than the watchdog window, the watchdog --
+//    at the same cycle with the clock jumping;
 //  * pinned-seed differential-fuzz programs over the full block
 //    vocabulary, run exactly like the fuzz campaign (both engines in
 //    lockstep with full-memory compare).
+//
+// The TickCounters tests pin the gating's structure with noise-free work
+// counters, so a regression fails here even when wall time hides it.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "api/engine.hpp"
+#include "asm/builder.hpp"
 #include "fuzz/fuzz.hpp"
+#include "isa/csr.hpp"
+#include "kernels/registry.hpp"
+#include "sim/cluster.hpp"
 
 namespace sch::api {
 namespace {
@@ -50,6 +64,7 @@ void expect_identical(const RunReport& fast, const RunReport& slow,
                       const std::string& what) {
   EXPECT_EQ(fast.ok, slow.ok) << what;
   EXPECT_EQ(fast.error, slow.error) << what;
+  EXPECT_EQ(fast.failure.kind, slow.failure.kind) << what;
   EXPECT_EQ(fast.cycles, slow.cycles) << what;
   EXPECT_EQ(fast.iss_instructions, slow.iss_instructions) << what;
   EXPECT_EQ(fast.mismatches, slow.mismatches) << what;
@@ -117,10 +132,17 @@ struct KernelCase {
   const char* kernel;
   const char* variant;
   u32 num_cores;
+  kernels::SizeMap sizes = {};
+  u32 main_mem_latency = sim::SimConfig{}.main_mem_latency;
 };
 
-// Chaining, FREP, indirect gather, DMA double buffering (fast-forward's
-// only trigger) and multi-core TCDM contention are all represented.
+// The dma_stream benchmark: 4 cores behind a 200-cycle main memory.
+constexpr u32 kDmaStreamLatency = 200;
+const kernels::SizeMap kDmaStreamAxpy = {{"n", 16384}, {"tile", 64}};
+const kernels::SizeMap kDmaStreamGemv = {{"m", 256}, {"n", 48}, {"rtile", 8}};
+
+// Chaining, FREP, indirect gather, DMA double buffering (parking, clock
+// jumps) and multi-core TCDM contention are all represented.
 const KernelCase kKernelCases[] = {
     {"vecop", "chained+frep", 1},
     {"gemm", "chained", 1},
@@ -129,19 +151,127 @@ const KernelCase kKernelCases[] = {
     {"axpy", "chained_dma", 1},
     {"axpy", "chained_dbuf", 1},
     {"gemv", "chained_dbuf", 1},
+    {"gemv", "chained_dbuf", 2},
     {"vecop", "chained_par", 4},
     {"gemv", "chained_par", 4},
     {"axpy", "chained_dbuf", 4},
+    {"axpy", "chained_dbuf", 4, kDmaStreamAxpy, kDmaStreamLatency},
+    {"gemv", "chained_dbuf", 4, kDmaStreamGemv, kDmaStreamLatency},
 };
 
 TEST(FastPathEquiv, KernelSampleBitIdenticalWithEachFastPathOff) {
   for (const KernelCase& c : kKernelCases) {
     RunRequest request =
-        RunRequest::for_kernel(c.kernel, c.variant, {}, EngineSel::kBoth);
+        RunRequest::for_kernel(c.kernel, c.variant, c.sizes, EngineSel::kBoth);
     request.config.num_cores = c.num_cores;
-    expect_toggle_invisible(request, std::string(c.kernel) + "/" + c.variant +
-                                         "@" + std::to_string(c.num_cores));
+    request.config.main_mem_latency = c.main_mem_latency;
+    expect_toggle_invisible(request,
+                            std::string(c.kernel) + "/" + c.variant + "@" +
+                                std::to_string(c.num_cores) + " mem=" +
+                                std::to_string(c.main_mem_latency));
   }
+}
+
+// --- poll-forever clusters ----------------------------------------------------
+
+/// Every hart waits for a first completed transfer (`dmstat; blt`) that no
+/// hart ever issues. `stagger` puts an mhartid-long delay loop first, so
+/// the cores park at different phases of their poll loops.
+Program poll_forever(bool stagger) {
+  ProgramBuilder b;
+  if (stagger) {
+    b.csrr(isa::kA0, isa::csr::kMhartid);
+    b.label("delay");
+    b.beqz(isa::kA0, "armed");
+    b.addi(isa::kA0, isa::kA0, -1);
+    b.j("delay");
+    b.label("armed");
+  }
+  b.li(isa::kT0, 1);
+  b.label("poll");
+  b.dmstat(isa::kT1, 0);
+  b.blt(isa::kT1, isa::kT0, "poll");
+  b.ecall();
+  return b.build();
+}
+
+RunRequest poll_forever_request(bool stagger) {
+  RunRequest request =
+      RunRequest::for_program(poll_forever(stagger), "poll-forever");
+  request.config.num_cores = 4;
+  request.config.max_cycles = 300'000;  // several watchdog windows of jumps
+  return request;
+}
+
+TEST(FastPathEquiv, PollForeverHitsCycleBudgetAtSameCycle) {
+  const RunRequest request = poll_forever_request(/*stagger=*/true);
+  const RunReport report = run_with(request, kAllOn);
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.failure.kind, FailureKind::kBudgetExceeded) << report.error;
+  EXPECT_EQ(report.cycles, request.config.max_cycles);
+  expect_toggle_invisible(request, "poll-forever");
+}
+
+TEST(FastPathEquiv, PollForeverWatchdogFiresAtSameCycle) {
+  // Bubbles longer than the watchdog window: a parked loop retires nothing
+  // for taken_branch_penalty cycles, so the watchdog fires mid-period --
+  // inside what would otherwise be one clock jump. (No delay loop: its own
+  // taken branches would trip the watchdog before any core parks.)
+  RunRequest request = poll_forever_request(/*stagger=*/false);
+  request.config.taken_branch_penalty = 64;
+  request.config.deadlock_cycles = 40;
+  const RunReport report = run_with(request, kAllOn);
+  ASSERT_FALSE(report.ok);
+  EXPECT_EQ(report.failure.kind, FailureKind::kDeadlock) << report.error;
+  expect_toggle_invisible(request, "poll-forever, watchdog");
+}
+
+// --- noise-free work counters -------------------------------------------------
+
+sim::TickCounters tick_counters_of(const char* kernel, const char* variant,
+                                   const kernels::SizeMap& sizes,
+                                   const sim::SimConfig& config,
+                                   u64& core_cycles) {
+  const kernels::KernelEntry* entry = kernels::Registry::instance().find(kernel);
+  const kernels::BuiltKernel built =
+      entry->build(variant, entry->resolve_sizes(sizes));
+  Memory mem;
+  sim::Cluster cluster(built.program, mem, config);
+  EXPECT_NE(cluster.run(), HaltReason::kError) << cluster.error();
+  core_cycles = 0;
+  for (u32 h = 0; h < cluster.num_cores(); ++h) {
+    core_cycles += cluster.core_at(h).perf().cycles;
+  }
+  return cluster.tick_counters();
+}
+
+TEST(TickCounters, DmaStreamAxpyTicksAtMostHalfItsCoreCyclesInFull) {
+  sim::SimConfig config;
+  config.num_cores = 4;
+  config.main_mem_latency = kDmaStreamLatency;
+  u64 core_cycles = 0;
+  const sim::TickCounters t = tick_counters_of("axpy", "chained_dbuf",
+                                               kDmaStreamAxpy, config, core_cycles);
+  EXPECT_EQ(t.core_ticks + t.skipped, core_cycles);
+  EXPECT_LE(2 * t.core_ticks, core_cycles)
+      << t.core_ticks << " full ticks of " << core_cycles << " core-cycles";
+  EXPECT_GT(t.parked, 0u);
+  EXPECT_GT(t.jumped_cycles, 0u);
+
+  config.fast_forward = false;  // the ungated tick runs every core-cycle
+  const sim::TickCounters off = tick_counters_of(
+      "axpy", "chained_dbuf", kDmaStreamAxpy, config, core_cycles);
+  EXPECT_EQ(off.core_ticks, core_cycles);
+  EXPECT_EQ(off.fp_gated + off.skipped + off.jumped_cycles, 0u);
+}
+
+TEST(TickCounters, SingleCoreStencilNeverParksOrJumps) {
+  u64 core_cycles = 0;
+  const sim::TickCounters t =
+      tick_counters_of("box3d1r", "Chaining+", {}, sim::SimConfig{}, core_cycles);
+  EXPECT_EQ(t.parked, 0u);
+  EXPECT_EQ(t.jumped_cycles, 0u);
+  EXPECT_EQ(t.core_ticks + t.skipped, core_cycles);
 }
 
 // --- pinned-seed fuzz programs -----------------------------------------------

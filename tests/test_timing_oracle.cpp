@@ -3,7 +3,7 @@
 // (tests/golden/timing_oracle.json). The cycle engine's reports are
 // bit-identical across hosts, so any drift here is a real timing change --
 // this is the backstop that lets the host-speed fast paths (threaded
-// dispatch, bank-mask arbitration, DMA-startup fast-forward) evolve while
+// dispatch, bank-mask arbitration, the activity-gated tick) evolve while
 // proving the modeled microarchitecture never moved.
 //
 // Updating after an INTENDED timing change:

@@ -8,6 +8,7 @@
 #include "api/engine.hpp"
 #include "asm/builder.hpp"
 #include "isa/csr.hpp"
+#include "sim/cluster.hpp"
 
 namespace sch {
 namespace {
@@ -147,6 +148,34 @@ TEST(Watchdog, WallClockBudgetHaltsBothEngines) {
     ASSERT_FALSE(r.ok);
     EXPECT_EQ(r.failure.kind, FailureKind::kBudgetExceeded) << r.error;
   }
+}
+
+TEST(Watchdog, WallClockBudgetSurvivesClockJumps) {
+  // Four cores park on a transfer that is never issued, so the cluster
+  // crosses almost every cycle in clock jumps. The wall-clock check is keyed
+  // on crossing a 4096-cycle boundary and jumps stop at that boundary, so
+  // the budget still ends the run (stepping is bounded here so that a
+  // regression fails instead of hanging).
+  ProgramBuilder b;
+  b.li(isa::kT0, 1);
+  b.label("poll");
+  b.dmstat(isa::kT1, 0);
+  b.blt(isa::kT1, isa::kT0, "poll");
+  b.ecall();
+  sim::SimConfig cfg;
+  cfg.num_cores = 4;
+  cfg.max_cycles = ~u64{0};  // only the wall clock can stop it
+  cfg.max_wall_ms = 1;
+  Memory mem;
+  sim::Cluster cluster(b.build(), mem, cfg);
+  u64 steps = 0;
+  while (cluster.step() && ++steps < 50'000'000) {
+  }
+  EXPECT_EQ(cluster.halt_reason(), HaltReason::kMaxSteps);
+  EXPECT_NE(cluster.error().find("wall-clock budget exhausted"),
+            std::string::npos)
+      << cluster.error();
+  EXPECT_GT(cluster.tick_counters().jumped_cycles, 0u);
 }
 
 } // namespace
