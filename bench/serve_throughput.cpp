@@ -1,20 +1,18 @@
 // Load generator for the serve layer: replay thousands of mixed NDJSON
 // requests against an in-process serve::Server and record sustained
 // reports/sec (sustained, not peak: the timed region covers the full
-// replay, request parsing and response serialization included). Three
-// phases isolate where the serving-layer caches earn their keep on a
-// repeated-shape workload:
+// replay, request parsing and response serialization included). Two
+// phases measure what the report cache earns on a repeated-shape workload:
 //
-//   cold        both caches disabled -- the per-request path pays kernel
-//               build + predecode + simulation every time;
-//   warm_build  build cache only, pre-warmed -- simulation still runs but
-//               build/predecode are skipped (hit counters prove it);
-//   warm_full   build + report caches, pre-warmed -- repeated requests are
-//               memoized whole (every response line carries "cached":true).
+//   cold        report cache disabled -- every request pays kernel build +
+//               predecode + simulation;
+//   warm_full   report cache pre-warmed -- repeated requests are memoized
+//               whole (every response line carries "cached":true).
 //
-// The acceptance claim (warm sustained >= 3x cold, hit counters proving
-// build/predecode skipped) is checked by tools/check_bench_regression.py
-// against the committed BENCH_serve_throughput.json trajectory.
+// The acceptance claim (warm sustained >= 3x cold, every warm response
+// served from the report cache) is checked by
+// tools/check_bench_regression.py against the committed
+// BENCH_serve_throughput.json trajectory.
 //
 // Usage: serve_throughput [--json PATH] [--repeat N] [--requests N]
 #include <chrono>
@@ -57,19 +55,13 @@ struct CacheCounters {
   u64 misses = 0;
 };
 
-struct StatsSnapshot {
-  CacheCounters build;
-  CacheCounters report;
-};
-
 struct PhaseResult {
   std::string name;
   double wall_s = 1e100;  // best-of-N replay wall clock
   usize reports = 0;
   usize ok = 0;
   usize cached = 0;  // responses served from the report cache
-  CacheCounters build;   // per-replay deltas of the measured repeat
-  CacheCounters report;
+  CacheCounters report;  // per-replay deltas of the measured repeat
 
   [[nodiscard]] double rps() const { return reports / wall_s; }
 };
@@ -78,12 +70,12 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-u64 cache_u64(const Json& stats, const char* which, const char* field) {
+u64 report_cache_u64(const Json& stats, const char* field) {
   const Json* c = stats.get("cache");
   if (c == nullptr) return 0;
-  const Json* w = c->get(which);
-  if (w == nullptr) return 0;
-  const Json* f = w->get(field);
+  const Json* r = c->get("report");
+  if (r == nullptr) return 0;
+  const Json* f = r->get(field);
   return f != nullptr ? static_cast<u64>(f->as_i64()) : 0;
 }
 
@@ -119,10 +111,10 @@ void parse_responses(const std::string& text, PhaseResult& out) {
   }
 }
 
-/// Query the server's cumulative cache counters in a dedicated session --
-/// a session boundary fully drains in-flight jobs, so unlike a stats probe
-/// pipelined inside the replay this snapshot is exact.
-StatsSnapshot probe_stats(serve::Server& server) {
+/// Query the server's cumulative report-cache counters in a dedicated
+/// session -- a session boundary fully drains in-flight jobs, so unlike a
+/// stats probe pipelined inside the replay this snapshot is exact.
+CacheCounters probe_stats(serve::Server& server) {
   std::istringstream in("{\"op\":\"stats\"}\n");
   std::ostringstream out;
   server.serve(in, out);
@@ -132,12 +124,7 @@ StatsSnapshot probe_stats(serve::Server& server) {
     std::exit(1);
   }
   const Json doc = std::move(parsed).value();
-  StatsSnapshot snap;
-  snap.build.hits = cache_u64(doc, "build", "hits");
-  snap.build.misses = cache_u64(doc, "build", "misses");
-  snap.report.hits = cache_u64(doc, "report", "hits");
-  snap.report.misses = cache_u64(doc, "report", "misses");
-  return snap;
+  return {report_cache_u64(doc, "hits"), report_cache_u64(doc, "misses")};
 }
 
 PhaseResult run_phase(const std::string& name, const serve::ServerOptions& opts,
@@ -145,7 +132,7 @@ PhaseResult run_phase(const std::string& name, const serve::ServerOptions& opts,
   serve::Server server(opts);
 
   if (prewarm) {
-    // One pass over every unique shape fills both caches before timing.
+    // One pass over every unique shape fills the cache before timing.
     std::string warm_input;
     for (const char* shape : kShapes) {
       warm_input += shape;
@@ -168,7 +155,7 @@ PhaseResult run_phase(const std::string& name, const serve::ServerOptions& opts,
   PhaseResult best;
   best.name = name;
   for (int r = 0; r < repeat; ++r) {
-    const StatsSnapshot before = probe_stats(server);
+    const CacheCounters before = probe_stats(server);
     std::istringstream in(input);
     std::ostringstream out;
     const auto t0 = Clock::now();
@@ -177,11 +164,9 @@ PhaseResult run_phase(const std::string& name, const serve::ServerOptions& opts,
     if (wall < best.wall_s) {
       best.wall_s = wall;
       parse_responses(out.str(), best);
-      const StatsSnapshot after = probe_stats(server);
-      best.build.hits = after.build.hits - before.build.hits;
-      best.build.misses = after.build.misses - before.build.misses;
-      best.report.hits = after.report.hits - before.report.hits;
-      best.report.misses = after.report.misses - before.report.misses;
+      const CacheCounters after = probe_stats(server);
+      best.report.hits = after.hits - before.hits;
+      best.report.misses = after.misses - before.misses;
     }
   }
   if (best.reports != requests || best.ok != requests) {
@@ -197,8 +182,6 @@ void dump_phase(std::ostream& os, const PhaseResult& p, bool last) {
      << ", \"reports_per_sec\": " << p.rps()
      << ", \"reports\": " << p.reports << ", \"ok\": " << p.ok
      << ", \"cached\": " << p.cached
-     << ", \"build\": {\"hits\": " << p.build.hits
-     << ", \"misses\": " << p.build.misses << "}"
      << ", \"report\": {\"hits\": " << p.report.hits
      << ", \"misses\": " << p.report.misses << "}}" << (last ? "" : ",")
      << "\n";
@@ -228,31 +211,16 @@ int main(int argc, char** argv) {
   if (requests < kNumShapes) requests = kNumShapes;
 
   serve::ServerOptions cold_opts;
-  cold_opts.build_cache_capacity = 0;
   cold_opts.report_cache_capacity = 0;
-  serve::ServerOptions warm_build_opts;
-  warm_build_opts.report_cache_capacity = 0;
   serve::ServerOptions warm_full_opts;
 
   const PhaseResult cold =
       run_phase("cold", cold_opts, /*prewarm=*/false, requests, repeat);
-  const PhaseResult warm_build =
-      run_phase("warm_build", warm_build_opts, /*prewarm=*/true, requests, repeat);
   const PhaseResult warm_full =
       run_phase("warm_full", warm_full_opts, /*prewarm=*/true, requests, repeat);
 
   // The counters must prove the claim, not just suggest it: every replayed
-  // request hits the build cache in warm_build (build + predecode skipped)
-  // and is fully memoized in warm_full (simulation skipped too).
-  if (warm_build.build.hits != requests || warm_build.build.misses != 0) {
-    std::fprintf(stderr,
-                 "FATAL: warm_build replay expected %zu build hits / 0 misses, "
-                 "got %llu/%llu\n",
-                 requests,
-                 static_cast<unsigned long long>(warm_build.build.hits),
-                 static_cast<unsigned long long>(warm_build.build.misses));
-    return 1;
-  }
+  // request is fully memoized in warm_full (simulation skipped).
   if (warm_full.cached != requests) {
     std::fprintf(stderr,
                  "FATAL: warm_full replay expected %zu cached responses, got "
@@ -261,20 +229,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double speedup_build = warm_build.rps() / cold.rps();
   const double speedup_full = warm_full.rps() / cold.rps();
 
   std::printf("serve throughput (%zu requests over %zu shapes, best of %d)\n\n",
               requests, kNumShapes, repeat);
   std::printf("  %-12s %12s %10s %8s\n", "phase", "reports/sec", "wall ms",
               "cached");
-  for (const PhaseResult* p : {&cold, &warm_build, &warm_full}) {
+  for (const PhaseResult* p : {&cold, &warm_full}) {
     std::printf("  %-12s %12.0f %10.1f %8zu\n", p->name.c_str(), p->rps(),
                 p->wall_s * 1e3, p->cached);
   }
-  std::printf("\n  warm_build vs cold: %.2fx (build+predecode skipped)\n",
-              speedup_build);
-  std::printf("  warm_full  vs cold: %.2fx (simulation memoized)\n",
+  std::printf("\n  warm_full vs cold: %.2fx (simulation memoized)\n",
               speedup_full);
 
   std::ofstream os(json_path);
@@ -295,10 +260,8 @@ int main(int argc, char** argv) {
      << ", \"sanitize\": \"" << SCH_SANITIZE_SPEC << "\"}"
      << ",\n  \"phases\": {\n";
   dump_phase(os, cold, false);
-  dump_phase(os, warm_build, false);
   dump_phase(os, warm_full, true);
-  os << "  },\n  \"speedup_warm_build_vs_cold\": " << speedup_build
-     << ",\n  \"speedup_warm_vs_cold\": " << speedup_full
+  os << "  },\n  \"speedup_warm_vs_cold\": " << speedup_full
      << ",\n  \"required_speedup\": 3.0\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
   return 0;

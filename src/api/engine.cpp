@@ -7,7 +7,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "api/build_cache.hpp"
 #include "energy/activity.hpp"
 #include "isa/reg.hpp"
 #include "iss/iss.hpp"
@@ -133,7 +132,6 @@ RunReport execute(const RunRequest& request) {
 
   // --- resolve the workload -------------------------------------------------
   kernels::BuiltKernel registry_built;  // storage for registry-form builds
-  BuildCache::Ptr cached_built;         // keep-alive for cache hits
   const kernels::BuiltKernel* built = nullptr;
   const Program* program = nullptr;          // single program (replicated)
   const std::vector<Program>* programs = nullptr;  // one per core
@@ -150,16 +148,9 @@ RunReport execute(const RunRequest& request) {
                                "\" (see `schsim list-kernels`)");
     }
     try {
-      if (request.cache != nullptr) {
-        cached_built = request.cache->get_or_build(
-            *entry, request.variant, entry->resolve_sizes(request.sizes),
-            request.config);
-        built = cached_built.get();
-      } else {
-        registry_built =
-            entry->build(request.variant, entry->resolve_sizes(request.sizes));
-        built = &registry_built;
-      }
+      registry_built =
+          entry->build(request.variant, entry->resolve_sizes(request.sizes));
+      built = &registry_built;
     } catch (const std::exception& e) {
       return finish_failed(FailureKind::kValidation,
                            report.name + ": " + e.what());

@@ -21,7 +21,6 @@
 namespace sch::api {
 
 class Observer;
-class BuildCache;
 
 /// Output-validation policy.
 enum class Validation : u8 {
@@ -92,14 +91,6 @@ struct RunRequest {
   /// Must outlive the run; with Engine::submit they are called from a
   /// worker thread, so shared observers must synchronize internally.
   std::vector<Observer*> observers;
-
-  /// Borrowed build cache consulted by the registry-form path (form (a)
-  /// above): a hit hands the engine a shared, already-predecoded
-  /// BuiltKernel instead of rebuilding it. Null = build fresh (default,
-  /// bit-identical behavior). Must outlive the run; BuildCache is
-  /// internally synchronized, so one cache may back any number of
-  /// concurrently-submitted requests.
-  BuildCache* cache = nullptr;
 
   // --- convenience constructors ---
   static RunRequest for_kernel(std::string kernel, std::string variant,

@@ -16,7 +16,6 @@
 //             cycle lockstep execution, ddmin reproducer minimization
 #pragma once
 
-#include "api/build_cache.hpp"
 #include "api/engine.hpp"
 #include "asm/assembler.hpp"
 #include "asm/builder.hpp"
@@ -48,7 +47,6 @@
 #include "scenario/scenario_runner.hpp"
 #include "serve/rollup.hpp"
 #include "serve/server.hpp"
-#include "serve/shard.hpp"
 #include "sim/simulator.hpp"
 #include "ssr/ssr_file.hpp"
 #include "verify/verify.hpp"

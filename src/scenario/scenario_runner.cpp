@@ -66,24 +66,21 @@ Result<std::vector<Job>> expand(const Scenario& scenario) {
   return jobs;
 }
 
-api::RunRequest to_request(const Job& job, api::EngineSel engine,
-                           api::BuildCache* cache) {
+api::RunRequest to_request(const Job& job, api::EngineSel engine) {
   api::RunRequest request =
       api::RunRequest::for_kernel(job.kernel->name, job.variant, job.sizes, engine);
   request.config = job.config;
   request.verify = job.verify;
-  request.cache = cache;
   return request;
 }
 
 std::vector<api::RunReport> run_jobs(const std::vector<Job>& jobs,
                                      api::Engine& engine,
-                                     api::EngineSel engine_sel,
-                                     api::BuildCache* cache) {
+                                     api::EngineSel engine_sel) {
   std::vector<api::RunRequest> requests;
   requests.reserve(jobs.size());
   for (const Job& job : jobs) {
-    requests.push_back(to_request(job, engine_sel, cache));
+    requests.push_back(to_request(job, engine_sel));
   }
   return engine.run_batch(std::move(requests));
 }
@@ -158,9 +155,8 @@ Result<ScenarioOutcome> run_scenario_file(const std::string& path,
       << workers << " workers (engine: " << api::engine_name(options.engine);
   if (options.cores_override != 0) log << ", cores: " << options.cores_override;
   log << ")\n";
-  const std::vector<api::RunReport> reports = run_jobs(
-      jobs, engine, options.engine,
-      options.use_cache ? &api::default_build_cache() : nullptr);
+  const std::vector<api::RunReport> reports =
+      run_jobs(jobs, engine, options.engine);
 
   ScenarioOutcome outcome;
   outcome.jobs = static_cast<u32>(jobs.size());

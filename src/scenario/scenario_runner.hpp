@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "api/build_cache.hpp"
 #include "api/engine.hpp"
 #include "kernels/registry.hpp"
 #include "scenario/scenario.hpp"
@@ -31,19 +30,16 @@ struct Job {
 /// kernels, variants and size-parameter names are errors.
 Result<std::vector<Job>> expand(const Scenario& scenario);
 
-/// Translate one job into the engine vocabulary. `cache` (borrowed,
-/// nullable, must outlive the run) lets repeated shapes share one build.
+/// Translate one job into the engine vocabulary.
 api::RunRequest to_request(const Job& job,
-                           api::EngineSel engine = api::EngineSel::kCycle,
-                           api::BuildCache* cache = nullptr);
+                           api::EngineSel engine = api::EngineSel::kCycle);
 
 /// Submit all jobs to `engine`; reports[i] corresponds to jobs[i]. A job
 /// whose build throws or whose output mismatches the golden reports
 /// ok=false with the error message -- it never aborts the batch.
 std::vector<api::RunReport> run_jobs(const std::vector<Job>& jobs,
                                      api::Engine& engine,
-                                     api::EngineSel engine_sel = api::EngineSel::kCycle,
-                                     api::BuildCache* cache = nullptr);
+                                     api::EngineSel engine_sel = api::EngineSel::kCycle);
 
 /// The sizes echo object used in report rows ({"n": 256, ...}); exposed for
 /// the serve layer's streamed report lines.
@@ -76,11 +72,6 @@ struct ScenarioRunOptions {
   /// "main_mem_latency" / "main_mem_bytes_per_cycle" overrides.
   u32 mem_latency_override = 0;
   u32 mem_bw_override = 0;
-  /// Consult the process-wide build cache (api::default_build_cache()) for
-  /// registry builds, so repeated shapes within a sweep -- and across sweeps
-  /// in one process -- skip kernel build + predecode. `--no-cache` clears it
-  /// (bit-identical reports either way; the determinism suite pins this).
-  bool use_cache = true;
 };
 
 /// Load + expand + run + report in one call (the `schsim run` entry point).

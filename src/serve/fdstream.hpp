@@ -1,8 +1,7 @@
 // Minimal iostreams adapter over a POSIX file descriptor, used by the serve
-// layer to run NDJSON sessions over pipes (forked shards) and sockets (the
-// TCP listener) with the same Server::serve(istream&, ostream&) entry point
-// that stdin/stdout sessions use. Unix-only; the serve front-ends that need
-// it are compiled out elsewhere.
+// layer to run NDJSON sessions over TCP sockets with the same
+// Server::serve(istream&, ostream&) entry point that stdin/stdout sessions
+// use. Unix-only; the TCP listener is compiled out elsewhere.
 #pragma once
 
 #if defined(__unix__) || defined(__APPLE__)

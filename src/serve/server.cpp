@@ -9,6 +9,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -21,13 +22,39 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-Json cache_stats_to_json(u64 hits, u64 misses, u64 evictions, u64 entries) {
-  Json o = Json::object();
-  o.set("hits", hits);
-  o.set("misses", misses);
-  o.set("evictions", evictions);
-  o.set("entries", entries);
-  return o;
+/// Serialization of every timing-relevant SimConfig field (the report-cache
+/// key contract; see ReportCache::make_key).
+std::string config_fingerprint(const sim::SimConfig& c) {
+  std::ostringstream os;
+  os << "fpu_depth=" << c.fpu_depth
+     << ";fdiv=" << c.fdiv_latency
+     << ";fsqrt=" << c.fsqrt_latency
+     << ";int_mul=" << c.int_mul_latency
+     << ";int_div=" << c.int_div_latency
+     << ";fp_queue=" << c.fp_queue_depth
+     << ";seq_buffer=" << c.seq_buffer_depth
+     << ";load_latency=" << c.load_latency
+     << ";mem_latency=" << c.main_mem_latency
+     << ";mem_bw=" << c.main_mem_bytes_per_cycle
+     << ";dma_queue=" << c.dma_queue_depth
+     << ";branch_penalty=" << c.taken_branch_penalty
+     << ";strict_handoff=" << (c.strict_chain_handoff ? 1 : 0)
+     << ";cores=" << c.num_cores
+     << ";banks=" << c.tcdm.num_banks
+     << ";bank_word_log2=" << c.tcdm.bank_word_log2
+     << ";fast_arb=" << (c.tcdm.fast_arb ? 1 : 0)
+     << ";ssr_data_fifo=" << c.ssr.data_fifo_depth
+     << ";ssr_idx_queue=" << c.ssr.idx_queue_depth
+     << ";ssr_write_fifo=" << c.ssr.write_fifo_depth
+     << ";max_cycles=" << c.max_cycles
+     << ";deadlock=" << c.deadlock_cycles
+     << ";fast_forward=" << (c.fast_forward ? 1 : 0)
+     << ";fast_dispatch=" << (c.fast_dispatch ? 1 : 0);
+  // Excluded on purpose: trace, max_wall_ms and the fault plan are host
+  // observability knobs -- no report field depends on them, and keying on
+  // the wall budget would shred hit rates across otherwise-identical
+  // requests.
+  return os.str();
 }
 
 } // namespace
@@ -73,16 +100,13 @@ Json error_line(const Json& id, const std::string& message) {
 
 std::string ReportCache::make_key(const scenario::Job& job,
                                   api::EngineSel engine) {
-  std::string key =
-      api::BuildCache::make_key(job.kernel->name, job.variant, job.sizes,
-                                job.config);
-  key += "|engine=";
-  key += api::engine_name(engine);
-  key += ";verify=";
-  key += std::to_string(static_cast<int>(job.verify));
-  // repeat_index is deliberately absent: repeats of one shape are identical
-  // runs, which is exactly what the memoization exploits.
-  return key;
+  std::ostringstream os;
+  os << job.kernel->name << '|' << job.variant << '|';
+  for (const auto& [name, value] : job.sizes) os << name << '=' << value << ',';
+  os << '|' << config_fingerprint(job.config)
+     << "|engine=" << api::engine_name(engine)
+     << ";verify=" << static_cast<int>(job.verify);
+  return os.str();
 }
 
 std::shared_ptr<const api::RunReport> ReportCache::get(const std::string& key) {
@@ -133,20 +157,21 @@ void ReportCache::clear() {
 // --- Server -----------------------------------------------------------------
 
 Server::Server(ServerOptions options)
-    : options_(options),
-      build_cache_(options.build_cache_capacity),
-      report_cache_(options.report_cache_capacity) {
+    : options_(options), report_cache_(options.report_cache_capacity) {
   if (options_.threads != 0) {
     own_engine_.emplace(api::EngineConfig{.threads = options_.threads});
   }
 }
 
 Json Server::cache_stats_json() const {
-  const api::BuildCache::Stats b = build_cache_.stats();
   const ReportCache::Stats r = report_cache_.stats();
+  Json report = Json::object();
+  report.set("hits", r.hits);
+  report.set("misses", r.misses);
+  report.set("evictions", r.evictions);
+  report.set("entries", r.entries);
   Json o = Json::object();
-  o.set("build", cache_stats_to_json(b.hits, b.misses, b.evictions, b.entries));
-  o.set("report", cache_stats_to_json(r.hits, r.misses, r.evictions, r.entries));
+  o.set("report", std::move(report));
   return o;
 }
 
@@ -358,8 +383,8 @@ class Session {
       item.ready = server_.report_cache().get(item.cache_key);
       if (item.ready == nullptr) {
         acquire_inflight_slot();
-        item.future = server_.engine().submit(scenario::to_request(
-            job, engine_sel, &server_.build_cache()));
+        item.future =
+            server_.engine().submit(scenario::to_request(job, engine_sel));
       }
       item.job = std::move(job);
       unit->jobs.push_back(std::move(item));
@@ -433,7 +458,6 @@ class Session {
         return;
       }
       case Unit::Kind::kDrop: {
-        server_.build_cache().clear();
         server_.report_cache().clear();
         Json line = Json::object();
         line.set("type", "dropped");
@@ -543,14 +567,12 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
     own_engine.emplace(api::EngineConfig{.threads = options.threads});
   }
   api::Engine& engine = own_engine ? *own_engine : api::default_engine();
-  api::BuildCache* cache =
-      options.use_cache ? &api::default_build_cache() : nullptr;
 
   const auto t0 = Clock::now();
   std::vector<std::future<api::RunReport>> futures;
   futures.reserve(jobs.size());
   for (const scenario::Job& job : jobs) {
-    futures.push_back(engine.submit(scenario::to_request(job, options.engine, cache)));
+    futures.push_back(engine.submit(scenario::to_request(job, options.engine)));
   }
 
   log << "scenario '" << scenario.name << "': streaming " << jobs.size()
@@ -576,12 +598,6 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
   done.set("jobs", static_cast<i64>(jobs.size()));
   done.set("failures", static_cast<i64>(outcome.failures));
   done.set("rollup", rollup.to_json());
-  if (cache != nullptr) {
-    const api::BuildCache::Stats b = cache->stats();
-    Json c = Json::object();
-    c.set("build", cache_stats_to_json(b.hits, b.misses, b.evictions, b.entries));
-    done.set("cache", std::move(c));
-  }
   done.set("wall_s", std::chrono::duration<double>(Clock::now() - t0).count());
   out << done.dump() << "\n" << std::flush;
   log << "streamed " << jobs.size() << " reports (" << outcome.failures
@@ -602,7 +618,7 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
 
 namespace sch::serve {
 
-Status serve_listen(Server& server, u16 port, u16* bound_port,
+Status serve_listen(Server& server, u16 port, std::atomic<u16>* bound_port,
                     std::ostream& log) {
   const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (lfd < 0) return Status::error("serve: socket() failed");
@@ -623,7 +639,7 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
   socklen_t len = sizeof(addr);
   ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len);
   const u16 actual = ntohs(addr.sin_port);
-  if (bound_port != nullptr) *bound_port = actual;
+  if (bound_port != nullptr) bound_port->store(actual);
   log << "serve: listening on 127.0.0.1:" << actual << "\n" << std::flush;
 
   std::atomic<bool> stop{false};
@@ -658,7 +674,7 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
 
 #else // !SCH_SERVE_HAVE_FDSTREAM
 
-Status serve_listen(Server&, u16, u16*, std::ostream&) {
+Status serve_listen(Server&, u16, std::atomic<u16>*, std::ostream&) {
   return Status::error("serve: TCP listener is unavailable on this platform "
                        "(stdin/stdout sessions still work)");
 }

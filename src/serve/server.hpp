@@ -3,20 +3,17 @@
 // scenario file (same schema, same strict validation), the jobs fan out
 // across the engine worker pool, and every RunReport is emitted as its own
 // response line the moment it completes -- never buffered into one
-// document. Two caches amortize the per-request fixed costs:
-//
-//  * the build cache (api::BuildCache, shared with scenario sweeps) skips
-//    kernel generation + predecode for repeated shapes;
-//  * the report cache memoizes whole RunReports -- sound because reports
-//    are bit-deterministic for a given (kernel, variant, sizes, config,
-//    engine, verify) key apart from `wall_s` -- so a warm repeated request
-//    skips simulation entirely (responses carry `"cached": true`).
+// document. The report cache memoizes whole RunReports -- sound because
+// reports are bit-deterministic for a given (kernel, variant, sizes, config,
+// engine, verify) key apart from `wall_s` -- so a warm repeated request
+// skips simulation entirely (responses carry `"cached": true`).
 //
 // Protocol details, the cache-key contract and the rollup definitions are
 // specified in docs/SERVE.md; tools/check_serve_schema.py pins the
 // response schema.
 #pragma once
 
+#include <atomic>
 #include <iosfwd>
 #include <list>
 #include <map>
@@ -25,7 +22,6 @@
 #include <optional>
 #include <string>
 
-#include "api/build_cache.hpp"
 #include "api/engine.hpp"
 #include "scenario/scenario_runner.hpp"
 
@@ -38,8 +34,7 @@ struct ServerOptions {
   /// (SCH_SWEEP_THREADS / hardware concurrency); nonzero builds a dedicated
   /// pool of that width.
   u32 threads = 0;
-  /// Capacity of the two caches (entries; 0 disables the cache).
-  usize build_cache_capacity = 256;
+  /// Report cache capacity (entries; 0 disables the cache).
   usize report_cache_capacity = 4096;
   /// A request line longer than this returns a structured error and is
   /// discarded up to the next newline; the session keeps going.
@@ -52,12 +47,12 @@ struct ServerOptions {
   usize max_inflight_jobs = 1024;
 };
 
-/// Memoized whole-run reports (the serve layer's second-level cache). Keyed
-/// like the build cache plus engine selection and verify policy -- every
-/// field of the row is deterministic for that key except `wall_s`, which a
-/// hit replays from the original run. Plain LRU; unlike BuildCache there is
-/// no in-flight dedup (a concurrent duplicate just runs twice and the
-/// second insert wins harmlessly).
+/// Memoized whole-run reports. Keyed by kernel, variant, resolved sizes,
+/// every timing-relevant SimConfig field, engine selection and verify policy
+/// -- every field of the row is deterministic for that key except `wall_s`,
+/// which a hit replays from the original run. Plain LRU with no in-flight
+/// dedup (a concurrent duplicate just runs twice and the first insert is
+/// kept).
 class ReportCache {
  public:
   struct Stats {
@@ -76,6 +71,13 @@ class ReportCache {
   [[nodiscard]] Stats stats() const;
   void clear();
 
+  /// The cache key (the soundness contract in docs/SERVE.md). It covers
+  /// every timing-relevant SimConfig field: core/cluster shape, pipeline
+  /// depths and latencies, queue depths, memory latency/bandwidth, branch
+  /// penalty, chain-handoff policy, budgets and the host fast-path flags.
+  /// Knobs that cannot change a report (trace, max_wall_ms, fault plans)
+  /// are deliberately excluded; repeat_index is too, since repeats of one
+  /// shape are identical runs.
   static std::string make_key(const scenario::Job& job, api::EngineSel engine);
 
  private:
@@ -103,34 +105,33 @@ class Server {
   /// to a structured error line. Returns true when a shutdown op ended the
   /// session (false on plain EOF).
   ///
-  /// Reentrant: concurrent sessions on one Server share the engine and both
-  /// caches; per-session state is local to this call.
+  /// Reentrant: concurrent sessions on one Server share the engine and the
+  /// report cache; per-session state is local to this call.
   bool serve(std::istream& in, std::ostream& out);
 
-  [[nodiscard]] api::BuildCache& build_cache() { return build_cache_; }
   [[nodiscard]] ReportCache& report_cache() { return report_cache_; }
   [[nodiscard]] api::Engine& engine() {
     return own_engine_ ? *own_engine_ : api::default_engine();
   }
   [[nodiscard]] const ServerOptions& options() const { return options_; }
 
-  /// {"build": {hits,misses,evictions,entries}, "report": {...}} -- the
-  /// object embedded in done/stats lines.
+  /// {"report": {hits,misses,evictions,entries}} -- the object embedded in
+  /// done/stats lines.
   [[nodiscard]] Json cache_stats_json() const;
 
  private:
   ServerOptions options_;
   std::optional<api::Engine> own_engine_;
-  api::BuildCache build_cache_;
   ReportCache report_cache_;
 };
 
-/// Serve a TCP listener on 127.0.0.1:`port` (0 picks a free port, reported
-/// through `bound_port` when non-null). One thread per connection, all
-/// sharing `server` (and therefore its caches). Returns when a connection
-/// sends a shutdown op; errors (bind/listen failures) come back as a
-/// Status without touching the process.
-Status serve_listen(Server& server, u16 port, u16* bound_port,
+/// Serve a TCP listener on 127.0.0.1:`port` (0 picks a free port, published
+/// through `bound_port` when non-null, so another thread may poll it). One
+/// thread per connection, all sharing `server` (and therefore its report
+/// cache). Returns when a connection sends a shutdown op; errors
+/// (bind/listen failures) come back as a Status without touching the
+/// process.
+Status serve_listen(Server& server, u16 port, std::atomic<u16>* bound_port,
                     std::ostream& log);
 
 // --- streaming writer reuse (schsim run --stream) --------------------------
@@ -138,7 +139,6 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
 struct ScenarioStreamOptions {
   api::EngineSel engine = api::EngineSel::kCycle;
   u32 threads = 0;
-  bool use_cache = true;
   u32 cores_override = 0;
   u32 mem_latency_override = 0;
   u32 mem_bw_override = 0;
@@ -157,7 +157,7 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
                                              std::ostream& out,
                                              std::ostream& log);
 
-// --- line builders (shared by Server, the sharded front-end and tests) -----
+// --- line builders (shared by Server, the streaming writer and tests) ------
 
 /// One report response line: {"type":"report","id":..,"seq":k,"of":N,
 /// "cached":bool,"report":{row + sizes/sim/repeat echo}}.

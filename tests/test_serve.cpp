@@ -1,21 +1,18 @@
-// Serving-layer coverage: the keyed build cache (exact hit/miss counters,
-// full timing-field key coverage, LRU eviction, in-flight dedup under
-// concurrency, error propagation), cached-vs-uncached report determinism,
-// the ReportCache memoization contract, NDJSON session behavior (FIFO
-// ordering, malformed-input hardening over the serve corpus, oversized
-// lines, shutdown), rollup math, the streaming scenario writer and the TCP
-// front-end.
+// Serving-layer coverage: the ReportCache memoization contract (full
+// timing-field key coverage, cached-vs-fresh bit identity), NDJSON session
+// behavior (FIFO ordering, malformed-input hardening over the serve corpus,
+// oversized lines, shutdown), rollup math, the streaming scenario writer and
+// the TCP front-end.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "api/build_cache.hpp"
 #include "api/engine.hpp"
 #include "kernels/registry.hpp"
 #include "scenario/scenario.hpp"
@@ -36,7 +33,6 @@
 namespace sch::serve {
 namespace {
 
-using api::BuildCache;
 using scenario::Json;
 
 const kernels::KernelEntry& entry(const std::string& name) {
@@ -67,58 +63,20 @@ std::string type_of(const Json& line) {
   return t != nullptr && t->is_string() ? t->as_string() : "";
 }
 
-/// Strip every "wall_s" key, recursively -- the one nondeterministic field
-/// of a report row.
-Json strip_wall_s(const Json& v) {
-  if (v.is_object()) {
-    Json o = Json::object();
-    for (const auto& [k, child] : v.members()) {
-      if (k == "wall_s") continue;
-      o.set(k, strip_wall_s(child));
-    }
-    return o;
-  }
-  if (v.is_array()) {
-    Json a = Json::array();
-    for (const Json& child : v.items()) a.push_back(strip_wall_s(child));
-    return a;
-  }
-  return v;
+// --- ReportCache ------------------------------------------------------------
+
+/// The report-cache key of one cycle-engine job.
+std::string key_of(const std::string& kernel, const std::string& variant,
+                   const kernels::SizeMap& sizes, const sim::SimConfig& config) {
+  const scenario::Job job{&entry(kernel), variant, sizes, config, Json(), 0,
+                          api::VerifyPolicy::kOff};
+  return ReportCache::make_key(job, api::EngineSel::kCycle);
 }
 
-// --- BuildCache: counters, key coverage, eviction, concurrency --------------
-
-TEST(BuildCache, ExactHitMissCountersAndSharing) {
-  BuildCache cache(8);
-  const kernels::KernelEntry& axpy = entry("axpy");
-  const kernels::SizeMap sizes = axpy.resolve_sizes({{"n", 64}});
-  const sim::SimConfig config;
-
-  const BuildCache::Ptr a = cache.get_or_build(axpy, "baseline", sizes, config);
-  const BuildCache::Ptr b = cache.get_or_build(axpy, "baseline", sizes, config);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a.get(), b.get()) << "hit must share the built kernel, not copy";
-  // A cached Program arrives predecoded: the engines' ensure_predecoded()
-  // finds the pass already done.
-  EXPECT_EQ(a->program.pre.size(), a->program.instrs.size());
-
-  BuildCache::Stats s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.evictions, 0u);
-
-  // A different variant is a different key.
-  (void)cache.get_or_build(axpy, "chained", sizes, config);
-  s = cache.stats();
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 2u);
-}
-
-TEST(BuildCache, KeyCoversEveryTimingRelevantConfigField) {
-  // Every SimConfig field that can change a build or a simulated report
-  // must appear in the fingerprint: a stale-key bug here silently serves
-  // wrong timing. Each mutator flips exactly one field.
+TEST(ReportCache, KeyCoversEveryTimingRelevantConfigField) {
+  // Every SimConfig field that can change a simulated report must appear in
+  // the key: a stale-key bug here silently serves wrong timing. Each mutator
+  // flips exactly one field.
   using Mut = void (*)(sim::SimConfig&);
   const std::pair<const char*, Mut> mutators[] = {
       {"fpu_depth", [](sim::SimConfig& c) { c.fpu_depth = 5; }},
@@ -154,14 +112,13 @@ TEST(BuildCache, KeyCoversEveryTimingRelevantConfigField) {
       {"fast_dispatch", [](sim::SimConfig& c) { c.fast_dispatch = false; }},
   };
 
-  const kernels::SizeMap sizes{{"n", 64}};
   const sim::SimConfig base;
-  const std::string base_key = BuildCache::make_key("axpy", "baseline", sizes, base);
+  const std::string base_key = key_of("axpy", "baseline", {{"n", 64}}, base);
   for (const auto& [name, mutate] : mutators) {
     sim::SimConfig c;
     mutate(c);
-    EXPECT_NE(BuildCache::make_key("axpy", "baseline", sizes, c), base_key)
-        << "fingerprint must cover SimConfig field: " << name;
+    EXPECT_NE(key_of("axpy", "baseline", {{"n", 64}}, c), base_key)
+        << "key must cover SimConfig field: " << name;
   }
 
   // And the deliberate exclusions: pure observability knobs must NOT shred
@@ -170,159 +127,14 @@ TEST(BuildCache, KeyCoversEveryTimingRelevantConfigField) {
   c.trace = true;
   c.max_wall_ms = 5000;
   c.faults = std::make_shared<const sim::FaultPlan>();
-  EXPECT_EQ(BuildCache::make_key("axpy", "baseline", sizes, c), base_key)
+  EXPECT_EQ(key_of("axpy", "baseline", {{"n", 64}}, c), base_key)
       << "trace/max_wall_ms/faults are observability knobs, not key fields";
 
   // Kernel, variant and sizes all key.
-  EXPECT_NE(BuildCache::make_key("dot", "baseline", sizes, base), base_key);
-  EXPECT_NE(BuildCache::make_key("axpy", "chained", sizes, base), base_key);
-  EXPECT_NE(BuildCache::make_key("axpy", "baseline", {{"n", 128}}, base), base_key);
+  EXPECT_NE(key_of("dot", "baseline", {{"n", 64}}, base), base_key);
+  EXPECT_NE(key_of("axpy", "chained", {{"n", 64}}, base), base_key);
+  EXPECT_NE(key_of("axpy", "baseline", {{"n", 128}}, base), base_key);
 }
-
-TEST(BuildCache, LruEvictionKeepsRecentlyUsed) {
-  BuildCache cache(2);
-  const kernels::KernelEntry& axpy = entry("axpy");
-  const sim::SimConfig config;
-  const auto build_n = [&](i64 n) {
-    return cache.get_or_build(axpy, "baseline", axpy.resolve_sizes({{"n", n}}),
-                              config);
-  };
-  (void)build_n(16);
-  (void)build_n(32);
-  (void)build_n(16);  // touch 16: 32 becomes the LRU victim
-  (void)build_n(64);  // evicts 32
-  BuildCache::Stats s = cache.stats();
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.entries, 2u);
-
-  (void)build_n(16);  // still resident
-  EXPECT_EQ(cache.stats().hits, 2u);
-  (void)build_n(32);  // evicted above: a fresh miss
-  EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-TEST(BuildCache, CapacityZeroDisablesCaching) {
-  BuildCache cache(0);
-  const kernels::KernelEntry& axpy = entry("axpy");
-  const kernels::SizeMap sizes = axpy.resolve_sizes({{"n", 64}});
-  const BuildCache::Ptr a = cache.get_or_build(axpy, "baseline", sizes, {});
-  const BuildCache::Ptr b = cache.get_or_build(axpy, "baseline", sizes, {});
-  ASSERT_NE(a, nullptr);
-  EXPECT_NE(a.get(), b.get());
-  const BuildCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses + s.entries, 0u);
-}
-
-TEST(BuildCache, BuilderErrorsPropagateAndAreNeverCached) {
-  BuildCache cache(8);
-  const kernels::KernelEntry& axpy = entry("axpy");
-  const kernels::SizeMap sizes = axpy.resolve_sizes({});
-  EXPECT_THROW((void)cache.get_or_build(axpy, "warp_variant", sizes, {}),
-               std::invalid_argument);
-  EXPECT_THROW((void)cache.get_or_build(axpy, "warp_variant", sizes, {}),
-               std::invalid_argument);
-  const BuildCache::Stats s = cache.stats();
-  EXPECT_EQ(s.entries, 0u) << "failed builds must not be cached";
-  EXPECT_EQ(s.misses, 2u) << "each failed attempt re-runs the builder";
-}
-
-TEST(BuildCache, ConcurrentLookupsBuildOnceWithExactCounters) {
-  // N threads x M lookups over K keys. The in-flight dedup makes the
-  // counters exact and scheduling-independent: exactly K misses (the
-  // unique creators), everything else a hit. TSan CI runs this test.
-  constexpr usize kThreads = 8;
-  constexpr usize kLookups = 24;
-  constexpr i64 kKeys = 4;
-  BuildCache cache(16);
-  const kernels::KernelEntry& axpy = entry("axpy");
-  const sim::SimConfig config;
-
-  std::vector<std::vector<std::pair<i64, BuildCache::Ptr>>> seen(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (usize t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (usize i = 0; i < kLookups; ++i) {
-        const i64 n = 16 << ((static_cast<i64>(t + i)) % kKeys);
-        seen[t].emplace_back(n, cache.get_or_build(
-            axpy, "baseline", axpy.resolve_sizes({{"n", n}}), config));
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  const BuildCache::Stats s = cache.stats();
-  EXPECT_EQ(s.misses, static_cast<u64>(kKeys));
-  EXPECT_EQ(s.hits, static_cast<u64>(kThreads * kLookups - kKeys));
-  EXPECT_EQ(s.entries, static_cast<u64>(kKeys));
-
-  // Same key -> same shared kernel, across all threads.
-  std::map<i64, const kernels::BuiltKernel*> by_n;
-  for (const auto& thread_ptrs : seen) {
-    for (const auto& [n, p] : thread_ptrs) {
-      ASSERT_NE(p, nullptr);
-      auto [it, inserted] = by_n.emplace(n, p.get());
-      if (!inserted) {
-        EXPECT_EQ(it->second, p.get()) << "n=" << n;
-      }
-    }
-  }
-  EXPECT_EQ(by_n.size(), static_cast<usize>(kKeys));
-}
-
-// --- determinism: cached and uncached runs are bit-identical ----------------
-
-TEST(BuildCacheDeterminism, CachedDisabledEnabledPrewarmedAllBitIdentical) {
-  // The acceptance contract: a report served through the cache differs
-  // from an uncached one in nothing but wall_s. Cover both engines and a
-  // multi-variant job set, three ways: no cache, cold cache, pre-warmed.
-  scenario::Scenario sc;
-  sc.name = "determinism";
-  for (const char* line : {
-           R"({"kernel":"axpy","variants":["baseline","chained"],"sizes":[{"n":64}]})",
-           R"({"kernel":"vecop","variants":["chained+frep"],"sizes":[{"n":64}]})",
-       }) {
-    Result<scenario::RunSpec> spec =
-        scenario::parse_run_spec(Json::parse(line).value(), 0, Json::object(), 1);
-    ASSERT_TRUE(spec.ok()) << spec.status().message();
-    sc.runs.push_back(std::move(spec).value());
-  }
-  Result<std::vector<scenario::Job>> jobs = scenario::expand(sc);
-  ASSERT_TRUE(jobs.ok()) << jobs.status().message();
-
-  const auto reports_json = [&](api::BuildCache* cache) {
-    Json rows = Json::array();
-    for (const scenario::Job& job : jobs.value()) {
-      for (const api::EngineSel engine :
-           {api::EngineSel::kCycle, api::EngineSel::kBoth}) {
-        const api::RunReport r =
-            api::run(scenario::to_request(job, engine, cache));
-        EXPECT_TRUE(r.ok) << r.error;
-        rows.push_back(strip_wall_s(r.to_json()));
-      }
-    }
-    return rows.dump(2);
-  };
-
-  const std::string uncached = reports_json(nullptr);
-  BuildCache cache(16);
-  const std::string cold = reports_json(&cache);
-  const u64 cold_misses = cache.stats().misses;
-  const u64 cold_hits = cache.stats().hits;
-  EXPECT_GT(cold_misses, 0u);
-  const std::string prewarmed = reports_json(&cache);
-  // Engine selection is not part of the build key, so even the cold pass
-  // can hit (kBoth reuses the entry kCycle built); the prewarmed pass must
-  // add zero misses and one hit per lookup.
-  EXPECT_EQ(cache.stats().misses, cold_misses)
-      << "prewarmed pass must not rebuild anything";
-  EXPECT_EQ(cache.stats().hits, cold_hits + cold_misses + cold_hits)
-      << "prewarmed pass must hit on every lookup";
-  EXPECT_EQ(uncached, cold);
-  EXPECT_EQ(cold, prewarmed);
-}
-
-// --- ReportCache ------------------------------------------------------------
 
 TEST(ReportCache, KeyIncludesEngineAndVerifyButNotRepeatIndex) {
   scenario::Scenario sc;
@@ -370,12 +182,11 @@ TEST(ReportCache, DropCachesEmptiesBothCaches) {
   (void)serve_lines(server,
                     R"({"kernel":"axpy","variants":["baseline"],"sizes":[{"n":64}]})"
                     "\n");
-  EXPECT_GT(server.build_cache().stats().entries, 0u);
+  EXPECT_GT(server.report_cache().stats().entries, 0u);
   const std::vector<Json> lines =
       serve_lines(server, "{\"op\":\"drop-caches\",\"id\":9}\n");
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(type_of(lines[0]), "dropped");
-  EXPECT_EQ(server.build_cache().stats().entries, 0u);
   EXPECT_EQ(server.report_cache().stats().entries, 0u);
 }
 
@@ -569,6 +380,7 @@ TEST(StreamingScenario, EmitsServeProtocolLinesForEveryJob) {
   EXPECT_FALSE(lines[0].get("cached")->as_bool());
   EXPECT_EQ(type_of(lines[2]), "done");
   EXPECT_EQ(lines[2].get("rollup")->get("ok")->as_i64(), 2);
+  EXPECT_EQ(lines[2].get("cache"), nullptr) << "a stream has no cache";
 }
 
 // --- TCP front-end ----------------------------------------------------------
@@ -576,7 +388,7 @@ TEST(StreamingScenario, EmitsServeProtocolLinesForEveryJob) {
 #if defined(SCH_SERVE_HAVE_FDSTREAM)
 TEST(ServeTcp, PingRunShutdownRoundTrip) {
   Server server;
-  u16 port = 0;
+  std::atomic<u16> port{0};
   std::ostringstream log;
   Status listen_status;
   std::thread listener([&] {

@@ -9,22 +9,32 @@ checkers can never drift apart).
 Two modes:
 
   check_serve_schema.py TRANSCRIPT.ndjson [...]
-      Validate saved transcripts (e.g. `schsim run --stream` output).
+      Validate saved `schsim run --stream` transcripts (their done lines
+      carry no "cache" block: a stream has no report cache).
 
-  check_serve_schema.py --run SCHSIM [--shards N] REQUESTS.ndjson
-      Launch `SCHSIM serve` as a subprocess, feed it the request file on
-      stdin, validate everything it writes to stdout, and additionally
-      check the protocol contract: one terminal response (done / error /
-      pong / stats / dropped / bye) per non-blank request line, and for
-      every "id"-carrying request, a terminal line echoing that id.
+  check_serve_schema.py --run SCHSIM [--port P] REQUESTS.ndjson
+      Launch `SCHSIM serve` as a subprocess, feed it the request file,
+      validate everything it answers, and additionally check the protocol
+      contract: one terminal response (done / error / pong / stats /
+      dropped / bye) per non-blank request line, and for every
+      "id"-carrying request, a terminal line echoing that id. Stats and
+      done lines carry exactly the report-cache counters. Without --port
+      the requests go over stdin; with --port P (0 = any free port) the
+      daemon listens on TCP, the checker reads the port from its
+      "listening on 127.0.0.1:N" log line, replays the requests on one
+      connection, then ends the daemon with a shutdown op on a second.
 
 Exit codes: 0 ok, 1 schema violation, 2 bad input / subprocess failure.
 """
 
 import argparse
 import json
+import re
+import select
+import socket
 import subprocess
 import sys
+import time
 
 import check_report_schema as report_schema
 
@@ -53,18 +63,12 @@ def need(line, key, types, where):
     return value
 
 
-def check_cache_counters(cache, where, require_report):
-    # The build-cache block is always present; the report-cache block is
-    # absent in `schsim run --stream` output (the scenario path has no
-    # report cache), so it is optional unless the caller demands it.
-    blocks = ["build", "report"] if require_report else ["build"]
-    for block in blocks:
-        counters = need(cache, block, dict, where)
-        for key in CACHE_COUNTER_KEYS:
-            need(counters, key, int, f"{where}.{block}")
-    if "report" in cache:
-        for key in CACHE_COUNTER_KEYS:
-            need(cache["report"], key, int, f"{where}.report")
+def check_cache_counters(cache, where):
+    # The daemon has one cache, the report memo; nothing else may appear.
+    if set(cache) != {"report"}:
+        raise SchemaError(f"{where}: keys {sorted(cache)} (want ['report'])")
+    for key in CACHE_COUNTER_KEYS:
+        need(cache["report"], key, int, f"{where}.report")
 
 
 def check_failure(failure, where):
@@ -76,7 +80,8 @@ def check_failure(failure, where):
         need(failure, key, int, where)
 
 
-def check_line(path, n, line):
+def check_line(path, n, line, served):
+    """`served`: the line came from the daemon (not `schsim run --stream`)."""
     where = f"line {n}"
     if not isinstance(line, dict):
         raise SchemaError(f"{where}: not a JSON object")
@@ -111,21 +116,26 @@ def check_line(path, n, line):
         for key in ("reads", "writes", "conflicts", "top_banks"):
             if key not in rollup["tcdm"]:
                 raise SchemaError(f"{where}: rollup.tcdm missing '{key}'")
-        check_cache_counters(need(line, "cache", dict, where), f"{where}.cache",
-                             require_report=False)
+        if served:
+            check_cache_counters(need(line, "cache", dict, where),
+                                 f"{where}.cache")
+        elif "cache" in line:
+            raise SchemaError(f"{where}: a --stream done line has no 'cache'")
     elif ltype == "error":
         need(line, "error", str, where)
         check_failure(need(line, "failure", dict, where), f"{where}.failure")
     elif ltype == "stats":
-        check_cache_counters(need(line, "cache", dict, where), f"{where}.cache",
-                             require_report=True)
+        check_cache_counters(need(line, "cache", dict, where), f"{where}.cache")
         served = need(line, "served", dict, where)
         for key in ("requests", "jobs", "failures"):
             need(served, key, int, f"{where}.served")
 
 
 def check_transcript(path, text, request_lines=None):
-    """Validate one transcript; returns (lines, reports, terminals)."""
+    """Validate one transcript; returns (lines, reports, terminals).
+
+    With `request_lines` the transcript is a daemon's answer to them;
+    without, a saved `schsim run --stream` transcript."""
     reports = 0
     terminals = 0
     terminal_ids = []
@@ -138,7 +148,7 @@ def check_transcript(path, text, request_lines=None):
             line = json.loads(raw)
         except ValueError as e:
             raise SchemaError(f"line {n}: not valid JSON: {e}") from e
-        check_line(path, n, line)
+        check_line(path, n, line, served=request_lines is not None)
         if line["type"] == "report":
             reports += 1
         if line["type"] in TERMINAL_TYPES:
@@ -151,7 +161,7 @@ def check_transcript(path, text, request_lines=None):
             raise SchemaError(
                 f"{terminals} terminal responses for {len(expected)} requests")
         # Every id-carrying request must get a terminal response echoing
-        # its id (order-free: shards may interleave whole responses).
+        # its id.
         want_ids = []
         for req in expected:
             try:
@@ -171,22 +181,82 @@ def check_transcript(path, text, request_lines=None):
     return n, reports, terminals
 
 
-def run_mode(schsim, requests_path, shards):
+TIMEOUT_S = 300
+
+
+def tcp_exchange(port, payload):
+    """Send `payload` on a fresh connection, half-close, read to EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=TIMEOUT_S) as s:
+        s.sendall(payload.encode())
+        s.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = s.recv(65536)
+            if not chunk:
+                return b"".join(chunks).decode()
+            chunks.append(chunk)
+
+
+def read_listen_port(proc):
+    """The port from the daemon's `listening on 127.0.0.1:N` log line."""
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([proc.stderr], [], [], 1.0)
+        if not ready:
+            continue
+        line = proc.stderr.readline()
+        if not line:
+            return None  # daemon exited before listening
+        m = re.search(r"listening on 127\.0\.0\.1:(\d+)", line)
+        if m:
+            return int(m.group(1))
+    return None
+
+
+def serve_tcp(cmd, request_lines):
+    """Run the requests against `cmd` (a `serve --port P` daemon) over TCP;
+    returns (transcript, error message or None)."""
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        port = read_listen_port(proc)
+        if port is None:
+            return None, "daemon never logged its listening port"
+        transcript = tcp_exchange(port, "".join(request_lines))
+        bye = tcp_exchange(port, '{"op":"shutdown","id":"end"}\n')
+        if '"bye"' not in bye:
+            return None, f"shutdown op answered {bye!r}"
+        proc.wait(timeout=TIMEOUT_S)
+        if proc.returncode != 0:
+            return None, f"exited {proc.returncode}"
+        return transcript, None
+    except (OSError, subprocess.TimeoutExpired) as e:
+        return None, str(e)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+
+
+def run_mode(schsim, requests_path, port):
     with open(requests_path, encoding="utf-8") as f:
         request_lines = f.readlines()
     cmd = [schsim, "serve"]
-    if shards > 1:
-        cmd += ["--shards", str(shards)]
-    proc = subprocess.run(cmd, input="".join(request_lines),
-                          capture_output=True, text=True, timeout=300)
-    if proc.returncode != 0:
-        print(f"check_serve_schema: `{' '.join(cmd)}` exited "
-              f"{proc.returncode}\n{proc.stderr}", file=sys.stderr)
+    if port is None:
+        proc = subprocess.run(cmd, input="".join(request_lines),
+                              capture_output=True, text=True, timeout=TIMEOUT_S)
+        transcript = proc.stdout
+        error = (f"exited {proc.returncode}\n{proc.stderr}"
+                 if proc.returncode != 0 else None)
+    else:
+        cmd += ["--port", str(port)]
+        transcript, error = serve_tcp(cmd, request_lines)
+    if error is not None:
+        print(f"check_serve_schema: `{' '.join(cmd)}`: {error}", file=sys.stderr)
         return 2
-    label = f"{requests_path} -> serve" + (f" --shards {shards}"
-                                           if shards > 1 else "")
+    label = f"{requests_path} -> {' '.join(cmd[1:])}"
     try:
-        check_transcript(label, proc.stdout, request_lines)
+        check_transcript(label, transcript, request_lines)
     except SchemaError as e:
         print(f"{label}: SCHEMA ERROR: {e}", file=sys.stderr)
         return 1
@@ -200,8 +270,9 @@ def main():
     parser.add_argument("--run", metavar="SCHSIM", default=None,
                         help="launch `SCHSIM serve` and validate its output "
                              "for the given request file")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="with --run: pass --shards N to the daemon")
+    parser.add_argument("--port", type=int, default=None,
+                        help="with --run: serve over TCP on this port "
+                             "(0 = any free port) instead of stdin")
     args = parser.parse_args()
 
     if args.run is not None:
@@ -209,7 +280,7 @@ def main():
             print("check_serve_schema: --run takes exactly one request file",
                   file=sys.stderr)
             return 2
-        return run_mode(args.run, args.paths[0], args.shards)
+        return run_mode(args.run, args.paths[0], args.port)
 
     for path in args.paths:
         try:

@@ -80,6 +80,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,10 +97,9 @@ void usage() {
                "       schsim run scenario.json [--out report.json] [--threads N]\n"
                "              [--engine iss|cycle|both] [--cores N]\n"
                "              [--mem-latency N] [--mem-bw N]\n"
-               "              [--stream] [--no-cache]\n"
-               "       schsim serve [--threads N] [--shards N] [--port P]\n"
-               "              [--build-cache N] [--report-cache N]\n"
-               "              [--max-line-bytes N] [--max-jobs N]\n"
+               "              [--stream]\n"
+               "       schsim serve [--threads N] [--port P (0 = any free port)]\n"
+               "              [--report-cache N] [--max-line-bytes N] [--max-jobs N]\n"
                "       schsim lint <scenario.json|program.s> [--json] [--strict]\n"
                "              [--cores N] [--fpu-depth N]\n"
                "       schsim fuzz [--seed S] [--runs N] [--no-minimize]\n"
@@ -251,8 +251,6 @@ int cmd_run(int argc, char** argv) {
       }
     } else if (arg == "--stream") {
       stream = true;
-    } else if (arg == "--no-cache") {
-      options.use_cache = false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "schsim run: unknown option: %s\n", arg.c_str());
       return 2;
@@ -281,7 +279,6 @@ int cmd_run(int argc, char** argv) {
     serve::ScenarioStreamOptions stream_options;
     stream_options.engine = options.engine;
     stream_options.threads = options.threads;
-    stream_options.use_cache = options.use_cache;
     stream_options.cores_override = options.cores_override;
     stream_options.mem_latency_override = options.mem_latency_override;
     stream_options.mem_bw_override = options.mem_bw_override;
@@ -319,8 +316,7 @@ int cmd_run(int argc, char** argv) {
 
 int cmd_serve(int argc, char** argv) {
   serve::ServerOptions options;
-  u32 shards = 1;
-  u32 port = 0;
+  std::optional<u16> port;  // set: TCP listener; unset: stdin/stdout session
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* what) -> const char* {
@@ -332,13 +328,8 @@ int cmd_serve(int argc, char** argv) {
     };
     if (arg == "--threads") {
       options.threads = parse_u32_arg(next("--threads"), "--threads", 1, 4096);
-    } else if (arg == "--shards") {
-      shards = parse_u32_arg(next("--shards"), "--shards", 1, 256);
     } else if (arg == "--port") {
-      port = parse_u32_arg(next("--port"), "--port", 1, 65535);
-    } else if (arg == "--build-cache") {
-      options.build_cache_capacity =
-          parse_u64_arg(next("--build-cache"), "--build-cache", 0, 1u << 20);
+      port = static_cast<u16>(parse_u32_arg(next("--port"), "--port", 0, 65535));
     } else if (arg == "--report-cache") {
       options.report_cache_capacity =
           parse_u64_arg(next("--report-cache"), "--report-cache", 0, 1u << 24);
@@ -353,22 +344,16 @@ int cmd_serve(int argc, char** argv) {
       return 2;
     }
   }
-  if (shards > 1) {
-    // Forks before any engine thread exists; each shard serves its slice of
-    // stdin with its own pool and caches.
-    return serve::serve_sharded(options, shards, std::cerr);
-  }
-  if (port != 0) {
-    serve::Server server(options);
-    const Status st = serve::serve_listen(server, static_cast<u16>(port),
-                                          nullptr, std::cerr);
+  serve::Server server(options);
+  if (port.has_value()) {
+    // --port 0 binds any free port; serve_listen logs the one it got.
+    const Status st = serve::serve_listen(server, *port, nullptr, std::cerr);
     if (!st.is_ok()) {
       std::fprintf(stderr, "%s\n", st.message().c_str());
       return 1;
     }
     return 0;
   }
-  serve::Server server(options);
   std::cerr << "schsim serve: reading NDJSON requests from stdin "
                "(see docs/SERVE.md)\n";
   server.serve(std::cin, std::cout);
