@@ -34,22 +34,12 @@ const char* failure_kind_name(FailureKind kind) {
 
 namespace {
 
-Json stalls_json(const sim::PerfCounters& p) {
+/// The `stalls` or `mix` object: every counter-table row of `group`.
+Json counters_json(const sim::PerfCounters& p, sim::PerfGroup group) {
   Json o = Json::object();
-  o.set("fp_raw", p.stall_fp_raw);
-  o.set("fp_waw", p.stall_fp_waw);
-  o.set("chain_empty", p.stall_chain_empty);
-  o.set("chain_full", p.stall_chain_full);
-  o.set("ssr_empty", p.stall_ssr_empty);
-  o.set("ssr_wfull", p.stall_ssr_wfull);
-  o.set("fpu_busy", p.stall_fpu_busy);
-  o.set("fp_lsu", p.stall_fp_lsu);
-  o.set("offload_full", p.stall_offload_full);
-  o.set("int_raw", p.stall_int_raw);
-  o.set("int_lsu", p.stall_int_lsu);
-  o.set("csr_barrier", p.stall_csr_barrier);
-  o.set("dma_full", p.stall_dma_full);
-  o.set("branch_bubbles", p.branch_bubbles);
+  for (const sim::PerfCounterInfo& c : sim::kPerfCounterTable) {
+    if (c.group == group) o.set(c.key, p.*c.field);
+  }
   return o;
 }
 
@@ -80,7 +70,8 @@ Json RunReport::to_json() const {
   row.set("iss_instructions", iss_instructions);
   row.set("mismatches", mismatches);
   row.set("lockstep_mismatches", lockstep_mismatches);
-  row.set("stalls", stalls_json(perf));
+  row.set("stalls", counters_json(perf, sim::PerfGroup::kStall));
+  row.set("mix", counters_json(perf, sim::PerfGroup::kMix));
   Json tcdm = Json::object();
   tcdm.set("reads", tcdm_reads);
   tcdm.set("writes", tcdm_writes);
@@ -114,7 +105,8 @@ Json RunReport::to_json() const {
     cr.set("retired", c.perf.total_retired());
     cr.set("fpu_ops", c.perf.fpu_ops);
     cr.set("fpu_utilization", c.fpu_utilization);
-    cr.set("stalls", stalls_json(c.perf));
+    cr.set("stalls", counters_json(c.perf, sim::PerfGroup::kStall));
+    cr.set("mix", counters_json(c.perf, sim::PerfGroup::kMix));
     core_rows.push_back(std::move(cr));
   }
   row.set("cores", std::move(core_rows));

@@ -73,7 +73,9 @@ struct RunReport {
   /// v4: robustness -- failed rows add a structured "failure" section
   /// (kind/hart/pc/cycle, -1 for unknown fields) next to the existing
   /// "error" message; ok rows are unchanged apart from the version bump.
-  static constexpr i64 kSchemaVersion = 4;
+  /// v5: the whole counter table (sim/perf.hpp): "stalls" holds every kStall
+  /// row, a new "mix" object every kMix row; v4 keys keep name and value.
+  static constexpr i64 kSchemaVersion = 5;
 
   /// Per-core cycle-engine section of a cluster run.
   struct CoreReport {

@@ -116,6 +116,18 @@ Json make_report(const Scenario& scenario, const std::vector<Job>& jobs,
   return report;
 }
 
+void apply_overrides(const ScenarioRunOptions& options, std::vector<Job>& jobs) {
+  for (Job& job : jobs) {
+    if (options.cores_override != 0) job.config.num_cores = options.cores_override;
+    if (options.mem_latency_override != 0) {
+      job.config.main_mem_latency = options.mem_latency_override;
+    }
+    if (options.mem_bw_override != 0) {
+      job.config.main_mem_bytes_per_cycle = options.mem_bw_override;
+    }
+  }
+}
+
 Result<ScenarioOutcome> run_scenario_file(const std::string& path,
                                           const ScenarioRunOptions& options,
                                           std::ostream& log) {
@@ -126,17 +138,7 @@ Result<ScenarioOutcome> run_scenario_file(const std::string& path,
   Result<std::vector<Job>> expanded = expand(scenario);
   if (!expanded.ok()) return expanded.status();
   std::vector<Job> jobs = std::move(expanded).value();
-  if (options.cores_override != 0) {
-    for (Job& job : jobs) job.config.num_cores = options.cores_override;
-  }
-  if (options.mem_latency_override != 0) {
-    for (Job& job : jobs) job.config.main_mem_latency = options.mem_latency_override;
-  }
-  if (options.mem_bw_override != 0) {
-    for (Job& job : jobs) {
-      job.config.main_mem_bytes_per_cycle = options.mem_bw_override;
-    }
-  }
+  apply_overrides(options, jobs);
 
   // --threads builds a dedicated engine; otherwise the process-wide shared
   // pool (SCH_SWEEP_THREADS / hardware concurrency) serves the batch.

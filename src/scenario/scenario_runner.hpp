@@ -59,7 +59,7 @@ struct ScenarioOutcome {
   std::string report_path;
 };
 
-/// Front-end knobs forwarded by `schsim run`.
+/// Front-end knobs forwarded by `schsim run` (buffered or `--stream`).
 struct ScenarioRunOptions {
   std::string output_override;  // non-empty wins over the scenario's "output"
   u32 threads = 0;              // 0 => SCH_SWEEP_THREADS / hw concurrency
@@ -73,6 +73,10 @@ struct ScenarioRunOptions {
   u32 mem_latency_override = 0;
   u32 mem_bw_override = 0;
 };
+
+/// Apply the non-zero `--cores` / `--mem-latency` / `--mem-bw` overrides of
+/// `options` to every job.
+void apply_overrides(const ScenarioRunOptions& options, std::vector<Job>& jobs);
 
 /// Load + expand + run + report in one call (the `schsim run` entry point).
 /// When `options.output_override` and the scenario's "output" are both

@@ -546,21 +546,13 @@ bool Server::serve(std::istream& in, std::ostream& out) {
 // --- schsim run --stream ----------------------------------------------------
 
 Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
-                                             const ScenarioStreamOptions& options,
+                                             const scenario::ScenarioRunOptions& options,
                                              std::ostream& out,
                                              std::ostream& log) {
   Result<std::vector<scenario::Job>> expanded = scenario::expand(scenario);
   if (!expanded.ok()) return expanded.status();
   std::vector<scenario::Job> jobs = std::move(expanded).value();
-  for (scenario::Job& job : jobs) {
-    if (options.cores_override != 0) job.config.num_cores = options.cores_override;
-    if (options.mem_latency_override != 0) {
-      job.config.main_mem_latency = options.mem_latency_override;
-    }
-    if (options.mem_bw_override != 0) {
-      job.config.main_mem_bytes_per_cycle = options.mem_bw_override;
-    }
-  }
+  scenario::apply_overrides(options, jobs);
 
   std::optional<api::Engine> own_engine;
   if (options.threads != 0) {

@@ -136,14 +136,6 @@ Status serve_listen(Server& server, u16 port, std::atomic<u16>* bound_port,
 
 // --- streaming writer reuse (schsim run --stream) --------------------------
 
-struct ScenarioStreamOptions {
-  api::EngineSel engine = api::EngineSel::kCycle;
-  u32 threads = 0;
-  u32 cores_override = 0;
-  u32 mem_latency_override = 0;
-  u32 mem_bw_override = 0;
-};
-
 struct StreamOutcome {
   u32 jobs = 0;
   u32 failures = 0;
@@ -151,9 +143,10 @@ struct StreamOutcome {
 
 /// Run an expanded scenario emitting the serve-protocol NDJSON lines
 /// (report per job, one trailing done line with the rollup) to `out`
-/// incrementally -- the `schsim run --stream` path. Progress goes to `log`.
+/// incrementally -- the `schsim run --stream` path. `options.output_override`
+/// is not consulted: the caller owns `out`. Progress goes to `log`.
 Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
-                                             const ScenarioStreamOptions& options,
+                                             const scenario::ScenarioRunOptions& options,
                                              std::ostream& out,
                                              std::ostream& log);
 

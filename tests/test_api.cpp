@@ -272,8 +272,8 @@ TEST(Engine, ObservedRunMatchesUnobservedTiming) {
 
 // --- JSON schema golden ------------------------------------------------------
 
-TEST(RunReportJson, GoldenSchemaV4) {
-  ASSERT_EQ(RunReport::kSchemaVersion, 4);
+TEST(RunReportJson, GoldenSchemaV5) {
+  ASSERT_EQ(RunReport::kSchemaVersion, 5);
   RunReport r;
   r.name = "vecop/chained";
   r.kernel = "vecop";
@@ -286,6 +286,9 @@ TEST(RunReportJson, GoldenSchemaV4) {
   r.perf.int_instrs = 40;
   r.perf.fpu_ops = 50;
   r.perf.stall_fp_raw = 3;
+  r.perf.fp_queue_empty = 4;
+  r.perf.int_div_busy = 2;
+  r.perf.rf_fp_reads = 120;
   r.tcdm_reads = 7;
   r.tcdm_writes = 5;
   r.tcdm_conflicts = 1;
@@ -315,13 +318,19 @@ TEST(RunReportJson, GoldenSchemaV4) {
   r.cores.push_back(core);
   r.wall_s = 0.25;
   const std::string golden =
-      R"({"schema":4,"name":"vecop/chained","kernel":"vecop","variant":"chained",)"
+      R"({"schema":5,"name":"vecop/chained","kernel":"vecop","variant":"chained",)"
       R"("engine":"both","ok":true,"cycles":100,"retired":100,"fpu_ops":50,)"
       R"("fpu_utilization":0.5,"useful_flops":48,"iss_instructions":90,)"
-      R"("mismatches":0,"lockstep_mismatches":0,"stalls":{"fp_raw":3,"fp_waw":0,)"
-      R"("chain_empty":0,"chain_full":0,"ssr_empty":0,"ssr_wfull":0,"fpu_busy":0,)"
-      R"("fp_lsu":0,"offload_full":0,"int_raw":0,"int_lsu":0,"csr_barrier":0,)"
-      R"("dma_full":0,"branch_bubbles":0},"tcdm":{"reads":7,"writes":5,)"
+      R"("mismatches":0,"lockstep_mismatches":0,)"
+      R"("stalls":{"fp_raw":3,"fp_waw":0,"chain_empty":0,"chain_full":0,)"
+      R"("ssr_empty":0,"ssr_wfull":0,"fpu_busy":0,"fp_lsu":0,"fp_queue_empty":4,)"
+      R"("offload_full":0,"int_raw":0,"int_lsu":0,"csr_barrier":0,"dma_full":0,)"
+      R"("branch_bubbles":0,"int_div_busy":2},)"
+      R"("mix":{"int_instrs":40,"fp_instrs":60,"offloads":0,"int_alu_ops":0,)"
+      R"("int_mul_ops":0,"int_div_ops":0,"int_loads":0,"int_stores":0,)"
+      R"("branches":0,"csr_ops":0,"fp_mac_ops":0,"fp_div_ops":0,"fp_loads":0,)"
+      R"("fp_stores":0,"rf_int_reads":0,"rf_int_writes":0,"rf_fp_reads":120,)"
+      R"("rf_fp_writes":0},"tcdm":{"reads":7,"writes":5,)"
       R"("conflicts":1,"out_of_range":2,"top_banks":[{"bank":4,"conflicts":9},)"
       R"({"bank":0,"conflicts":1}]},"dma":{"transfers":2,"bytes":1024,)"
       R"("busy_cycles":160,"startup_cycles":100,"tcdm_conflicts":3,)"
@@ -329,9 +338,14 @@ TEST(RunReportJson, GoldenSchemaV4) {
       R"("num_cores":1,"cores":[{"hart":0,)"
       R"("cycles":100,"retired":100,"fpu_ops":50,"fpu_utilization":0.5,)"
       R"("stalls":{"fp_raw":3,"fp_waw":0,"chain_empty":0,"chain_full":0,)"
-      R"("ssr_empty":0,"ssr_wfull":0,"fpu_busy":0,"fp_lsu":0,"offload_full":0,)"
-      R"("int_raw":0,"int_lsu":0,"csr_barrier":0,"dma_full":0,)"
-      R"("branch_bubbles":0}}],)"
+      R"("ssr_empty":0,"ssr_wfull":0,"fpu_busy":0,"fp_lsu":0,"fp_queue_empty":4,)"
+      R"("offload_full":0,"int_raw":0,"int_lsu":0,"csr_barrier":0,"dma_full":0,)"
+      R"("branch_bubbles":0,"int_div_busy":2},)"
+      R"("mix":{"int_instrs":40,"fp_instrs":60,"offloads":0,"int_alu_ops":0,)"
+      R"("int_mul_ops":0,"int_div_ops":0,"int_loads":0,"int_stores":0,)"
+      R"("branches":0,"csr_ops":0,"fp_mac_ops":0,"fp_div_ops":0,"fp_loads":0,)"
+      R"("fp_stores":0,"rf_int_reads":0,"rf_int_writes":0,"rf_fp_reads":120,)"
+      R"("rf_fp_writes":0}}],)"
       R"("energy":{"power_mw":60.25,"energy_per_cycle_pj":54.5,)"
       R"("fpu_ops_per_joule":0.5},"regs":{"fp_used":6,"accumulator":1,)"
       R"("chained":1,"ssr":3},"wall_s":0.25})";

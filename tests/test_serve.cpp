@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -26,8 +27,6 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <chrono>
 #endif
 
 namespace sch::serve {
@@ -381,6 +380,66 @@ TEST(StreamingScenario, EmitsServeProtocolLinesForEveryJob) {
   EXPECT_EQ(type_of(lines[2]), "done");
   EXPECT_EQ(lines[2].get("rollup")->get("ok")->as_i64(), 2);
   EXPECT_EQ(lines[2].get("cache"), nullptr) << "a stream has no cache";
+}
+
+/// `row` serialized without its host wall-clock (the one nondeterministic key).
+std::string without_wall_s(const Json& row) {
+  Json out = Json::object();
+  for (const auto& [key, value] : row.members()) {
+    if (key != "wall_s") out.set(key, value);
+  }
+  return out.dump();
+}
+
+TEST(StreamingScenario, MatchesBufferedReportUnderOverrides) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("sch_stream_vs_buffered_" +
+                        std::to_string(std::chrono::steady_clock::now()
+                                           .time_since_epoch()
+                                           .count()));
+  fs::create_directories(dir);
+  const fs::path scenario_path = dir / "scenario.json";
+  const fs::path report_path = dir / "report.json";
+  std::ofstream(scenario_path)
+      << R"({"name":"overrides","runs":[{"kernel":"axpy",)"
+         R"("variants":["baseline","chained_dbuf"],"sizes":[{"n":512}]}]})";
+
+  scenario::ScenarioRunOptions options;
+  options.output_override = report_path.string();
+  options.cores_override = 2;
+  options.mem_latency_override = 40;
+  options.mem_bw_override = 4;
+  std::ostringstream log;
+  const Result<scenario::ScenarioOutcome> buffered =
+      scenario::run_scenario_file(scenario_path.string(), options, log);
+  ASSERT_TRUE(buffered.ok()) << buffered.status().message();
+  std::ifstream report_file(report_path);
+  const std::string report_text((std::istreambuf_iterator<char>(report_file)),
+                                std::istreambuf_iterator<char>());
+  const Json report = Json::parse(report_text).value();
+
+  const Result<scenario::Scenario> sc =
+      scenario::load_scenario_file(scenario_path.string());
+  fs::remove_all(dir);
+  ASSERT_TRUE(sc.ok()) << sc.status().message();
+  std::ostringstream out;
+  ASSERT_TRUE(run_scenario_streaming(sc.value(), options, out, log).ok());
+
+  std::vector<Json> streamed;
+  std::istringstream rs(out.str());
+  std::string line;
+  while (std::getline(rs, line)) {
+    const Json parsed = Json::parse(line).value();
+    if (type_of(parsed) == "report") streamed.push_back(*parsed.get("report"));
+  }
+  const Json::Array& rows = report.get("results")->items();
+  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(streamed.size(), rows.size());
+  for (usize i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].get("num_cores")->as_i64(), 2) << i;
+    EXPECT_EQ(without_wall_s(streamed[i]), without_wall_s(rows[i])) << i;
+  }
 }
 
 // --- TCP front-end ----------------------------------------------------------

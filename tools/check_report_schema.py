@@ -3,14 +3,17 @@
 
 Usage: check_report_schema.py report.json [report2.json ...]
 
-The schema version and the per-row key set are pinned here AND in
-src/api/run_report.hpp (kSchemaVersion) plus the golden test in
-tests/test_api.cpp; all three must move together.
+The schema version and the row key set are pinned here, in
+src/api/run_report.hpp (kSchemaVersion) and in the golden test in
+tests/test_api.cpp; all three must move together. The "stalls" and "mix"
+key sets are read from the counter table in src/sim/perf.hpp.
 """
 import json
+import os
+import re
 import sys
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # Required keys of one RunReport row and their JSON types. "error" and
 # "failure" are present only on failed rows, so they are checked
@@ -20,6 +23,7 @@ SCHEMA_VERSION = 4
 # v3 adds the "dma" section and the "dma_full" stall key.
 # v4 adds the structured "failure" section (kind/hart/pc/cycle) on failed
 # rows; ok rows must not carry one.
+# v5 exports the whole counter table in "stalls" and a new "mix" object.
 ROW_KEYS = {
     "schema": int,
     "name": str,
@@ -36,6 +40,7 @@ ROW_KEYS = {
     "mismatches": int,
     "lockstep_mismatches": int,
     "stalls": dict,
+    "mix": dict,
     "tcdm": dict,
     "dma": dict,
     "num_cores": int,
@@ -44,17 +49,23 @@ ROW_KEYS = {
     "regs": dict,
     "wall_s": (int, float),
 }
-STALL_KEYS = [
-    "fp_raw", "fp_waw", "chain_empty", "chain_full", "ssr_empty", "ssr_wfull",
-    "fpu_busy", "fp_lsu", "offload_full", "int_raw", "int_lsu", "csr_barrier",
-    "dma_full", "branch_bubbles",
+# Counter-table rows, X(field, "json_key", kGroup), give the stalls/mix keys.
+PERF_HPP = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "..", "src", "sim", "perf.hpp")
+with open(PERF_HPP) as f:
+    PERF_ROWS = re.findall(r'^\s*X\((\w+), "(\w+)", k(Top|Stall|Mix)\)',
+                           f.read(), re.M)
+COUNTER_SECTIONS = [
+    (section, [key for _, key, g in PERF_ROWS if g == group])
+    for section, group in (("stalls", "Stall"), ("mix", "Mix"))
 ]
 TCDM_KEYS = ["reads", "writes", "conflicts", "out_of_range", "top_banks"]
 DMA_KEYS = [
     "transfers", "bytes", "busy_cycles", "startup_cycles", "tcdm_conflicts",
     "queue_full_stalls", "achieved_bytes_per_cycle",
 ]
-CORE_KEYS = ["hart", "cycles", "retired", "fpu_ops", "fpu_utilization", "stalls"]
+CORE_KEYS = ["hart", "cycles", "retired", "fpu_ops", "fpu_utilization", "stalls",
+             "mix"]
 ENERGY_KEYS = ["power_mw", "energy_per_cycle_pj", "fpu_ops_per_joule"]
 REGS_KEYS = ["fp_used", "accumulator", "chained", "ssr"]
 ENGINES = {"iss", "cycle", "both"}
@@ -67,6 +78,24 @@ FAILURE_KINDS = {
 def fail(path, message):
     print(f"{path}: SCHEMA ERROR: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def need_keys(path, where, section, keys):
+    for key in keys:
+        if key not in section:
+            fail(path, f"{where} missing '{key}'")
+
+
+def check_counters(path, where, section, keys):
+    """`section` holds exactly `keys`, each a non-negative integer."""
+    if not isinstance(section, dict):
+        fail(path, f"{where} is not an object")
+    if set(section) != set(keys):
+        fail(path, f"{where}: missing {sorted(set(keys) - set(section))}, "
+                   f"unexpected {sorted(set(section) - set(keys))}")
+    for key, value in section.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            fail(path, f"{where}.{key} = {value!r} is not a non-negative int")
 
 
 def check_row(path, i, row):
@@ -95,19 +124,12 @@ def check_row(path, i, row):
                 fail(path, f"{where}: failure.{key} must be an integer")
     elif "failure" in row:
         fail(path, f"{where}: ok row carries a 'failure' section")
-    for key in STALL_KEYS:
-        if key not in row["stalls"]:
-            fail(path, f"{where}: stalls missing '{key}'")
-    for key in TCDM_KEYS:
-        if key not in row["tcdm"]:
-            fail(path, f"{where}: tcdm missing '{key}'")
+    for section, keys in (("tcdm", TCDM_KEYS), ("dma", DMA_KEYS),
+                          ("energy", ENERGY_KEYS), ("regs", REGS_KEYS)):
+        need_keys(path, f"{where}.{section}", row[section], keys)
     for entry in row["tcdm"]["top_banks"]:
-        for key in ("bank", "conflicts"):
-            if key not in entry:
-                fail(path, f"{where}: tcdm.top_banks entry missing '{key}'")
-    for key in DMA_KEYS:
-        if key not in row["dma"]:
-            fail(path, f"{where}: dma missing '{key}'")
+        need_keys(path, f"{where}.tcdm.top_banks entry", entry,
+                  ("bank", "conflicts"))
     if row["num_cores"] < 1:
         fail(path, f"{where}: num_cores {row['num_cores']} < 1")
     # The cycle engine reports one core section per core; the ISS-only
@@ -115,21 +137,15 @@ def check_row(path, i, row):
     if row["cores"] and len(row["cores"]) != row["num_cores"]:
         fail(path, f"{where}: {len(row['cores'])} core sections for "
                    f"num_cores={row['num_cores']}")
+    for section, keys in COUNTER_SECTIONS:
+        check_counters(path, f"{where}.{section}", row[section], keys)
     for h, core in enumerate(row["cores"]):
-        for key in CORE_KEYS:
-            if key not in core:
-                fail(path, f"{where}: cores[{h}] missing '{key}'")
+        need_keys(path, f"{where}.cores[{h}]", core, CORE_KEYS)
         if core["hart"] != h:
             fail(path, f"{where}: cores[{h}] has hart={core['hart']}")
-        for key in STALL_KEYS:
-            if key not in core["stalls"]:
-                fail(path, f"{where}: cores[{h}].stalls missing '{key}'")
-    for key in ENERGY_KEYS:
-        if key not in row["energy"]:
-            fail(path, f"{where}: energy missing '{key}'")
-    for key in REGS_KEYS:
-        if key not in row["regs"]:
-            fail(path, f"{where}: regs missing '{key}'")
+        for section, keys in COUNTER_SECTIONS:
+            check_counters(path, f"{where}.cores[{h}].{section}", core[section],
+                           keys)
 
 
 def check_report(path):

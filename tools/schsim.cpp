@@ -83,6 +83,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scalarchain.hpp"
@@ -132,31 +133,29 @@ u32 parse_u32_arg(const char* text, const char* what, u32 min, u32 max) {
   return static_cast<u32>(parse_u64_arg(text, what, min, max));
 }
 
-void print_perf(const sim::PerfCounters& p) {
-  std::printf("cycles:            %llu\n", static_cast<unsigned long long>(p.cycles));
-  std::printf("instructions:      %llu int, %llu fp (%llu offloaded)\n",
-              static_cast<unsigned long long>(p.int_instrs),
-              static_cast<unsigned long long>(p.fp_instrs),
-              static_cast<unsigned long long>(p.offloads));
-  std::printf("fpu ops:           %llu (utilization %.3f)\n",
-              static_cast<unsigned long long>(p.fpu_ops), p.fpu_utilization());
-  std::printf("stalls:            raw=%llu waw=%llu chain-empty=%llu "
-              "chain-full=%llu ssr-empty=%llu ssr-wfull=%llu lsu=%llu\n",
-              static_cast<unsigned long long>(p.stall_fp_raw),
-              static_cast<unsigned long long>(p.stall_fp_waw),
-              static_cast<unsigned long long>(p.stall_chain_empty),
-              static_cast<unsigned long long>(p.stall_chain_full),
-              static_cast<unsigned long long>(p.stall_ssr_empty),
-              static_cast<unsigned long long>(p.stall_ssr_wfull),
-              static_cast<unsigned long long>(p.stall_fp_lsu));
-  std::printf("int-core stalls:   offload-full=%llu raw=%llu lsu=%llu "
-              "csr-barrier=%llu dma-full=%llu branch-bubbles=%llu\n",
-              static_cast<unsigned long long>(p.stall_offload_full),
-              static_cast<unsigned long long>(p.stall_int_raw),
-              static_cast<unsigned long long>(p.stall_int_lsu),
-              static_cast<unsigned long long>(p.stall_csr_barrier),
-              static_cast<unsigned long long>(p.stall_dma_full),
-              static_cast<unsigned long long>(p.branch_bubbles));
+/// The per-core mean FPU utilization, then every counter-table row as
+/// key=value under its report group (top-level counters, `stalls`, `mix`).
+void print_perf(const api::RunReport& report) {
+  const sim::PerfCounters& p = report.perf;
+  std::printf("%-18s %.3f\n", "fpu_utilization:", report.fpu_utilization);
+  const std::pair<sim::PerfGroup, const char*> groups[] = {
+      {sim::PerfGroup::kTop, "counters:"},
+      {sim::PerfGroup::kStall, "stalls:"},
+      {sim::PerfGroup::kMix, "mix:"}};
+  for (const auto& [group, label] : groups) {
+    std::printf("%-18s", label);
+    int on_line = 0;
+    for (const sim::PerfCounterInfo& c : sim::kPerfCounterTable) {
+      if (c.group != group) continue;
+      if (on_line == 4) {
+        std::printf("\n%-18s", "");
+        on_line = 0;
+      }
+      std::printf(" %s=%llu", c.key, static_cast<unsigned long long>(p.*c.field));
+      ++on_line;
+    }
+    std::printf("\n");
+  }
 }
 
 int cmd_list_kernels(int argc, char** argv) {
@@ -276,12 +275,6 @@ int cmd_run(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", sc.status().message().c_str());
       return 1;
     }
-    serve::ScenarioStreamOptions stream_options;
-    stream_options.engine = options.engine;
-    stream_options.threads = options.threads;
-    stream_options.cores_override = options.cores_override;
-    stream_options.mem_latency_override = options.mem_latency_override;
-    stream_options.mem_bw_override = options.mem_bw_override;
     const scenario::Scenario& scenario = sc.value();
     const bool to_stdout =
         options.output_override.empty() || options.output_override == "-";
@@ -298,7 +291,7 @@ int cmd_run(int argc, char** argv) {
     std::ostream& out = to_stdout ? std::cout : static_cast<std::ostream&>(file);
     std::ostream& log = to_stdout ? std::cerr : std::cout;
     const Result<serve::StreamOutcome> outcome =
-        serve::run_scenario_streaming(scenario, stream_options, out, log);
+        serve::run_scenario_streaming(scenario, options, out, log);
     if (!outcome.ok()) {
       std::fprintf(stderr, "%s\n", outcome.status().message().c_str());
       return 1;
@@ -719,7 +712,7 @@ int cmd_sim(int argc, char** argv) {
     std::printf("ISS: %llu instructions retired\n",
                 static_cast<unsigned long long>(report.iss_instructions));
   } else {
-    print_perf(report.perf);
+    print_perf(report);
     if (want_energy) {
       std::printf("%s", energy::format_report(report.energy).c_str());
     }
